@@ -10,9 +10,10 @@ from wfdsim.summary import parse_trace_line
 from wfdsim.transfer import (ConnectionState, DeliveryOutcome,
                              RoleConflictError, StubTransport, TransportId,
                              UnsupportedTransportError)
+from wfdsim.simulation import Simulation
 from wfdsim.topology import Position
 
-from conftest import make_sim
+from conftest import CHAIN4_NODES, CHAIN4_SCRIPT, make_sim
 
 
 def lines(sim, event_class):
@@ -188,6 +189,37 @@ def test_delivered_path_consistent_with_trace(chain4_sim):
     assert report.path == [r.node for r in forwards] + [delivers[0].node]
     assert report.path[0] == report.src
     assert report.path[-1] == report.dst
+
+
+def chain4_with_self_send():
+    return make_sim(CHAIN4_NODES, CHAIN4_SCRIPT,
+                    traffic=[(8, "A", "D", 8000, TrafficClass.REAL_TIME),
+                             (9, "B", "B", 500, TrafficClass.BULK),
+                             (10, "D", "A", 4000, TrafficClass.BULK)])
+
+
+REPORT_CASES = {name: (lambda name=name: Simulation.from_source(name))
+                for name in ("chain4", "gc_pair", "two_groups_bridge",
+                             "mobility_break")}
+REPORT_CASES["self_send"] = chain4_with_self_send
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_CASES))
+def test_every_report_agrees_with_its_summary_flow(case):
+    sim = REPORT_CASES[case]()
+    summary = sim.run()
+    flows = {f.app_seq: f for f in summary.flows}
+    sends = list(range(len(sim.scenario.traffic)))
+    assert sends and sorted(sim.transfer.reports) == sends
+    for seq in sends:
+        report, flow = sim.transfer.report(seq), flows[seq]
+        assert (report.outcome.value, report.src, report.dst) == \
+            (flow.outcome, flow.src, flow.dst)
+        if report.outcome is DeliveryOutcome.DELIVERED:
+            assert (report.path, report.latency_us) == \
+                (flow.path, flow.latency_us)
+            assert report.path[0] == report.src
+            assert report.path[-1] == report.dst
 
 
 # ----------------------------------------------------------------------
