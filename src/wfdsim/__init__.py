@@ -1,7 +1,7 @@
 """wfdsim: deterministic discrete-event simulation of Wi-Fi Direct group
 networking with a multi-hop distance-vector routing layer on top."""
 
-from .engine import (Engine, EventClass, EventKind, MS, SECOND, RandomSource,
+from .engine import (Engine, EventClass, MS, SECOND, RandomSource,
                      Trace, TraceRecord, uniform_duration)
 from .linklayer import (BROADCAST, BridgingPolicy, DeviceState, Frame,
                         GoNegotiationParams, Group, LinkConfig, LinkLayer,

@@ -1,9 +1,14 @@
 """Deterministic discrete-event core: virtual clock, event queue, seeded
 randomness and the trace sink every other layer schedules against.
 
-Virtual time is integer microseconds since simulation start.  Events are
-totally ordered by (fire_at, seq) where seq is the insertion sequence, so
-ties at equal fire_at resolve in schedule order and replays are exact.
+Virtual time is integer microseconds since simulation start.  There is one
+way to schedule work: `Engine.call_later(delay_us, fn, *args)`, which runs
+`fn(*args)` when the clock reaches the fire time.  Events are totally
+ordered by (fire_at, seq) where seq is the insertion sequence, so ties at
+equal fire_at resolve in schedule order and replays are exact.
+
+The trace is write-only for the simulator: layers emit records into it,
+and only the summary (`summary.build_summary`) reads them back.
 """
 
 from __future__ import annotations
@@ -20,16 +25,6 @@ MS = 1_000            # microseconds per millisecond
 SECOND = 1_000_000    # microseconds per second
 
 NodeId = str
-
-
-class EventKind(Enum):
-    """Closed set of schedulable event kinds."""
-
-    TIMER = "timer"
-    FRAME_ARRIVAL = "frame_arrival"
-    ADVERT_TICK = "advert_tick"
-    APP_SEND = "app_send"
-    MOBILITY_STEP = "mobility_step"
 
 
 class EventClass(Enum):
@@ -49,9 +44,8 @@ class EventClass(Enum):
 class Event:
     fire_at: int
     seq: int
-    kind: EventKind = field(compare=False)
-    target: NodeId | None = field(compare=False, default=None)
-    payload: Any = field(compare=False, default=None)
+    fn: Callable[..., None] = field(compare=False)
+    args: tuple = field(compare=False)
     cancelled: bool = field(compare=False, default=False)
 
 
@@ -171,7 +165,6 @@ class Engine:
         self._queue: list[Event] = []
         self._seq = itertools.count()
         self._last_popped: tuple[int, int] | None = None
-        self._handlers: dict[EventKind, Callable[[Event], None]] = {}
         self.rng = RandomSource(seed)
         self.trace = Trace()
         self.steps = 0
@@ -182,20 +175,14 @@ class Engine:
     def node_rng(self, node: NodeId) -> random.Random:
         return self.rng.stream(f"node:{node}")
 
-    def on(self, kind: EventKind, handler: Callable[[Event], None]) -> None:
-        self._handlers[kind] = handler
-
-    def schedule(self, delay_us: int, kind: EventKind,
-                 target: NodeId | None = None, payload: Any = None) -> EventHandle:
+    def call_later(self, delay_us: int, fn: Callable[..., None],
+                   *args: Any) -> EventHandle:
+        """Run fn(*args) delay_us from now; the handle cancels it."""
         if delay_us < 0:
             raise ValueError(f"negative delay {delay_us}")
-        event = Event(self._now + delay_us, next(self._seq), kind, target, payload)
+        event = Event(self._now + delay_us, next(self._seq), fn, args)
         heapq.heappush(self._queue, event)
         return EventHandle(event)
-
-    def call_later(self, delay_us: int, fn: Callable[[], None],
-                   target: NodeId | None = None) -> EventHandle:
-        return self.schedule(delay_us, EventKind.TIMER, target, fn)
 
     def run_until(self, t_end_us: int) -> int:
         """Process every event with fire_at <= t_end_us; now() ends at t_end_us."""
@@ -211,20 +198,11 @@ class Engine:
                 "event order violated"
             self._last_popped = key
             self._now = event.fire_at
-            self._dispatch(event)
+            event.fn(*event.args)
             steps += 1
         self._now = t_end_us
         self.steps += steps
         return steps
-
-    def _dispatch(self, event: Event) -> None:
-        if event.kind is EventKind.TIMER:
-            event.payload()
-            return
-        handler = self._handlers.get(event.kind)
-        if handler is None:
-            raise RuntimeError(f"no handler registered for {event.kind}")
-        handler(event)
 
     def log(self, node: NodeId, event_class: EventClass, **details: Any) -> None:
         self.trace.emit(TraceRecord(self._now, node, event_class,

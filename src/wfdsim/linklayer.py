@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
-from .engine import MS, SECOND, Engine, EventClass, EventKind, NodeId, uniform_duration
+from .engine import MS, SECOND, Engine, EventClass, NodeId, uniform_duration
 from .topology import Topology
 
 BROADCAST: NodeId = "*"
@@ -165,8 +165,6 @@ class LinkLayer:
         self._lost_hooks: list[Callable[[NodeId, NodeId, Frame], None]] = []
         self._link_up_hooks: list[Callable[[NodeId, NodeId], None]] = []
         self._link_down_hooks: list[Callable[[NodeId, NodeId], None]] = []
-        engine.on(EventKind.FRAME_ARRIVAL, self._on_frame_arrival)
-        topology.on_link_change(self._on_topology_change)
 
     # ------------------------------------------------------------------
     # registration and wiring
@@ -273,10 +271,9 @@ class LinkLayer:
         self.engine.log(node, EventClass.DISCOVERY, action="start",
                         target=target or "-")
         session.handles.append(self.engine.call_later(
-            self.config.scan_us, lambda: self._begin_find_leg(session), node))
+            self.config.scan_us, self._begin_find_leg, session))
         session.handles.append(self.engine.call_later(
-            self.config.discovery_timeout_us,
-            lambda: self._discovery_timeout(session), node))
+            self.config.discovery_timeout_us, self._discovery_timeout, session))
 
     def abort_discovery(self, node: NodeId) -> None:
         session = self._sessions.get(node)
@@ -309,7 +306,7 @@ class LinkLayer:
                         state=session.leg_state.value.lower(),
                         chan=session.leg_channel, dur_us=duration)
         session.handles.append(self.engine.call_later(
-            duration, lambda: self._begin_find_leg(session), node))
+            duration, self._begin_find_leg, session))
         self._check_probe_matches(session)
 
     def _check_probe_matches(self, session: _DiscoverySession) -> None:
@@ -329,13 +326,9 @@ class LinkLayer:
             overlap = min(session.leg_end, peer.leg_end) - now
             if overlap < self.config.overlap_min_us:
                 continue
-            a, b = session, peer
-            expect = (a.leg_start, b.leg_start)
-            handle = self.engine.call_later(
-                self.config.overlap_min_us,
-                lambda a=a, b=b, expect=expect: self._probe_success(a, b, expect),
-                session.node)
-            session.handles.append(handle)
+            session.handles.append(self.engine.call_later(
+                self.config.overlap_min_us, self._probe_success, session, peer,
+                (session.leg_start, peer.leg_start)))
 
     def _probe_success(self, a: _DiscoverySession, b: _DiscoverySession,
                        expect: tuple[int, int]) -> None:
@@ -407,8 +400,8 @@ class LinkLayer:
             intent=self._intents[initiator],
             tie_breaker=self.engine.node_rng(initiator).getrandbits(1))
         mac = self.topology.profile(initiator).per_hop_mac_latency_us
-        self.engine.call_later(mac, lambda: self._nego_request(
-            initiator, responder, params, on_complete, on_failed), responder)
+        self.engine.call_later(mac, self._nego_request, initiator, responder,
+                               params, on_complete, on_failed)
 
     def _nego_failed(self, initiator: NodeId, responder: NodeId, reason: str,
                      on_failed) -> None:
@@ -431,12 +424,11 @@ class LinkLayer:
         mac = self.topology.profile(responder).per_hop_mac_latency_us
         if params.intent == 15 and resp_intent == 15:
             # both insist on the GO role: negotiation fails at the response
-            self.engine.call_later(mac, lambda: self._nego_failed(
-                initiator, responder, "intent_conflict", on_failed), initiator)
+            self.engine.call_later(mac, self._nego_failed, initiator,
+                                   responder, "intent_conflict", on_failed)
             return
-        self.engine.call_later(mac, lambda: self._nego_response(
-            initiator, responder, params, resp_intent, on_complete, on_failed),
-            initiator)
+        self.engine.call_later(mac, self._nego_response, initiator, responder,
+                               params, resp_intent, on_complete, on_failed)
 
     def _nego_response(self, initiator, responder, params, resp_intent,
                        on_complete, on_failed):
@@ -452,8 +444,8 @@ class LinkLayer:
         else:
             owner = initiator if params.tie_breaker else responder
         mac = self.topology.profile(initiator).per_hop_mac_latency_us
-        self.engine.call_later(mac, lambda: self._nego_confirm(
-            initiator, responder, owner, on_complete, on_failed), responder)
+        self.engine.call_later(mac, self._nego_confirm, initiator, responder,
+                               owner, on_complete, on_failed)
 
     def _nego_confirm(self, initiator, responder, owner, on_complete, on_failed):
         if not self.topology.in_range(initiator, responder):
@@ -462,8 +454,8 @@ class LinkLayer:
         self.engine.log(responder, EventClass.NEGOTIATION, action="confirm",
                         peer=initiator, owner=owner)
         # WPS authentication modelled as a fixed delay, then addressing
-        self.engine.call_later(self.config.wps_us, lambda: self._form_group(
-            initiator, responder, owner, on_complete), owner)
+        self.engine.call_later(self.config.wps_us, self._form_group,
+                               initiator, responder, owner, on_complete)
 
     def _form_group(self, initiator, responder, owner, on_complete):
         client = responder if owner == initiator else initiator
@@ -589,8 +581,8 @@ class LinkLayer:
     # keepalive and eviction
 
     def _schedule_keepalive(self, group_id: int) -> None:
-        self.engine.call_later(self.config.keepalive_us,
-                               lambda: self._keepalive(group_id))
+        self.engine.call_later(self.config.keepalive_us, self._keepalive,
+                               group_id)
 
     def _keepalive(self, group_id: int) -> None:
         group = self.groups.get(group_id)
@@ -654,11 +646,9 @@ class LinkLayer:
 
     def _schedule_arrival(self, frame: Frame, dst: NodeId) -> None:
         delay = self.transmit_delay_us(frame.src, frame.size_bits)
-        self.engine.schedule(delay, EventKind.FRAME_ARRIVAL, dst, frame)
+        self.engine.call_later(delay, self._on_frame_arrival, frame, dst)
 
-    def _on_frame_arrival(self, event) -> None:
-        frame: Frame = event.payload
-        dst: NodeId = event.target
+    def _on_frame_arrival(self, frame: Frame, dst: NodeId) -> None:
         group = self.groups.get(frame.group_id)
         legal = (group is not None
                  and (frame.src == group.owner or frame.src in group.members())
@@ -684,12 +674,6 @@ class LinkLayer:
     def _fire_link_down(self, a: NodeId, b: NodeId) -> None:
         for hook in self._link_down_hooks:
             hook(a, b)
-
-    def _on_topology_change(self, a: NodeId, b: NodeId, now_in_range: bool) -> None:
-        # Range loss is detected by keepalive misses and at frame arrival;
-        # a pending probe match between a moved pair re-verifies range when
-        # it fires, so nothing to do eagerly on moves.
-        return
 
     # ------------------------------------------------------------------
     # invariants (used by tests)

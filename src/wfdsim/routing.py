@@ -18,7 +18,7 @@ tables have converged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .engine import Engine, EventClass, NodeId
@@ -52,6 +52,7 @@ class Packet:
     ttl: int
     traffic_class: TrafficClass
     payload_bits: int
+    path: list[NodeId] = field(default_factory=list)  # nodes that forwarded it
 
     def __post_init__(self):
         if self.ttl < 0:
@@ -450,6 +451,7 @@ class RoutingAgent:
                         dst=pkt.dst, app_seq=pkt.app_seq, ttl=pkt.ttl,
                         next=next_hop, cls=pkt.traffic_class,
                         bits=pkt.payload_bits)
+        pkt.path.append(self.node)
         self.transfer.send_data(self.node, pkt, next_hop)
 
     def _send_route_error(self, pkt: Packet) -> None:

@@ -9,7 +9,7 @@ or the run ends.
 
 from __future__ import annotations
 
-from .engine import MS, Engine, EventClass, EventKind, NodeId
+from .engine import MS, Engine, EventClass, NodeId
 from .linklayer import (DeviceState, LinkError, LinkLayer, InvalidStateError)
 from .routing import RoutingAgent
 from .transfer import TransferError
@@ -45,39 +45,29 @@ class Simulation:
             self.agents[spec.id] = agent
             self.transfer.attach_agent(agent)
 
-        self.engine.on(EventKind.ADVERT_TICK, self._on_advert_tick)
-        self.engine.on(EventKind.MOBILITY_STEP, self._on_mobility_step)
+        call_later = self.engine.call_later
         for node in sorted(self.agents):
-            self.engine.schedule(sim.advert_period_us, EventKind.ADVERT_TICK,
-                                 node)
+            call_later(sim.advert_period_us, self._advert_tick, node)
         for directive in scenario.script:
-            self.engine.call_later(directive.at_us,
-                                   lambda d=directive: self._run_directive(d),
-                                   directive.initiator)
+            call_later(directive.at_us, self._run_directive, directive)
         for step in scenario.mobility:
-            self.engine.schedule(step.at_us, EventKind.MOBILITY_STEP,
-                                 step.node, step.pos)
+            call_later(step.at_us, self.topology.apply_move, step.node,
+                       step.pos)
         for flow in scenario.traffic:
-            self.engine.call_later(
-                flow.at_us,
-                lambda f=flow: self.transfer.app_send(
-                    f.src, f.dst, f.payload_bits, f.traffic_class),
-                flow.src)
+            call_later(flow.at_us, self.transfer.app_send, flow.src, flow.dst,
+                       flow.payload_bits, flow.traffic_class)
 
     @classmethod
     def from_source(cls, source, strict: bool = True) -> "Simulation":
         return cls(load_scenario(source, strict=strict))
 
     # ------------------------------------------------------------------
-    # event dispatch
+    # scheduled work
 
-    def _on_advert_tick(self, event) -> None:
-        self.engine.schedule(self.scenario.sim.advert_period_us,
-                             EventKind.ADVERT_TICK, event.target)
-        self.agents[event.target].advert_tick()
-
-    def _on_mobility_step(self, event) -> None:
-        self.topology.apply_move(event.target, event.payload)
+    def _advert_tick(self, node: NodeId) -> None:
+        self.engine.call_later(self.scenario.sim.advert_period_us,
+                               self._advert_tick, node)
+        self.agents[node].advert_tick()
 
     def _run_directive(self, directive: ScriptDirective) -> None:
         ll = self.linklayer
@@ -96,10 +86,8 @@ class Simulation:
                 self.engine.log(directive.initiator, EventClass.CONNECT,
                                 action="retry", peer=directive.peer,
                                 what=directive.action)
-                self.engine.call_later(
-                    DIRECTIVE_RETRY_US,
-                    lambda: self._run_directive(directive),
-                    directive.initiator)
+                self.engine.call_later(DIRECTIVE_RETRY_US,
+                                       self._run_directive, directive)
             else:
                 self.engine.log(directive.initiator, EventClass.CONNECT,
                                 action="failed", peer=directive.peer,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .engine import NodeId
 
@@ -42,15 +41,10 @@ class RadioProfile:
             raise ValueError("data_rate_bps must be positive")
 
 
-# Callback signature: (node_a, node_b, now_in_range)
-LinkChangeListener = Callable[[NodeId, NodeId, bool], None]
-
-
 class Topology:
     def __init__(self) -> None:
         self._positions: dict[NodeId, Position] = {}
         self._profiles: dict[NodeId, RadioProfile] = {}
-        self._listeners: list[LinkChangeListener] = []
 
     def add_node(self, node: NodeId, position: Position,
                  profile: RadioProfile | None = None) -> None:
@@ -70,9 +64,6 @@ class Topology:
         self._check(node)
         return self._profiles[node]
 
-    def on_link_change(self, listener: LinkChangeListener) -> None:
-        self._listeners.append(listener)
-
     def in_range(self, a: NodeId, b: NodeId) -> bool:
         self._check(a)
         self._check(b)
@@ -89,7 +80,7 @@ class Topology:
 
     def apply_move(self, node: NodeId, new_pos: Position) -> list[tuple[NodeId, bool]]:
         """Move a node; returns the (peer, now_in_range) relationships that
-        flipped, in peer-id order.  An identity move notifies nobody."""
+        flipped, in peer-id order.  An identity move flips nothing."""
         self._check(node)
         old = self._positions[node]
         if new_pos == old:
@@ -101,8 +92,6 @@ class Topology:
             now = self.in_range(node, peer)
             if now != before[peer]:
                 changes.append((peer, now))
-                for listener in self._listeners:
-                    listener(node, peer, now)
         return changes
 
     def _check(self, node: NodeId) -> None:

@@ -1,6 +1,10 @@
 """Connection orchestration, the transport registry, and the application
 facing send/receive interface with per-flow delivery reports.
 
+A delivery report's path is the one the packet recorded on itself as it
+was forwarded (`Packet.path`), plus the node that delivered it; the
+transfer layer never reads the trace back.
+
 The transport registry decouples the routing layer from the link model:
 exactly one registered transport claims any given link.  Only the simulated
 Wi-Fi Direct transport is functional; ZigBee and Bluetooth are registered
@@ -14,9 +18,9 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .engine import Engine, EventClass, EventKind, NodeId
-from .linklayer import (BROADCAST, DeviceState, Frame, LinkLayer,
-                        OutOfRangeError, InvalidStateError)
+from .engine import Engine, EventClass, NodeId
+from .linklayer import (BROADCAST, DeviceState, Frame, InvalidStateError,
+                        LinkError, LinkLayer, OutOfRangeError)
 from .routing import (CONTROL_FRAME_BITS, Packet, RoutingAgent, TrafficClass)
 
 
@@ -38,17 +42,10 @@ class TransportId(Enum):
     BLUETOOTH = "BLUETOOTH"
 
 
-@dataclass(frozen=True)
-class TransportProfile:
-    max_frame_bits: int
-    per_bit_delay_ns: float
-
-
 class Transport:
     """Interface to one wireless technology."""
 
     technology: TransportId
-    profile: TransportProfile
 
     def claims_link(self, a: NodeId, b: NodeId) -> bool:
         raise NotImplementedError
@@ -62,7 +59,6 @@ class Transport:
 
 class WifiDirectSimTransport(Transport):
     technology = TransportId.WIFI_DIRECT_SIM
-    profile = TransportProfile(max_frame_bits=1 << 30, per_bit_delay_ns=4.0)
 
     def __init__(self, linklayer: LinkLayer):
         self.linklayer = linklayer
@@ -82,8 +78,6 @@ class WifiDirectSimTransport(Transport):
 class StubTransport(Transport):
     """Registered but non-functional technology: claims no links and
     rejects every send."""
-
-    profile = TransportProfile(max_frame_bits=0, per_bit_delay_ns=0.0)
 
     def __init__(self, technology: TransportId):
         self.technology = technology
@@ -191,7 +185,6 @@ class TransferLayer:
         self._next_app_seq = 0
         self._pending: dict[int, _PendingFlow] = {}
         self.reports: dict[int, DeliveryReport] = {}
-        engine.on(EventKind.APP_SEND, self._on_app_send)
         linklayer.on_frame_lost(self._on_frame_lost)
         linklayer.on_link_up(self._on_link_up)
         linklayer.on_link_down(self._on_link_down)
@@ -242,16 +235,16 @@ class TransferLayer:
 
         if ls is DeviceState.GROUP_OWNER and ps is DeviceState.GROUP_OWNER:
             group = ll.owned_group(peer)
-            self.engine.call_later(ll.config.wps_us, lambda:
-                                   self._finish_bridge(conn, group))
+            self.engine.call_later(ll.config.wps_us, self._finish_bridge,
+                                   conn, group)
         elif ps is DeviceState.GROUP_OWNER:
             group = ll.owned_group(peer)
-            self.engine.call_later(ll.config.wps_us, lambda:
-                                   self._finish_join(conn, local, group))
+            self.engine.call_later(ll.config.wps_us, self._finish_join,
+                                   conn, local, group)
         elif ls is DeviceState.GROUP_OWNER:
             group = ll.owned_group(local)
-            self.engine.call_later(ll.config.wps_us, lambda:
-                                   self._finish_join(conn, peer, group))
+            self.engine.call_later(ll.config.wps_us, self._finish_join,
+                                   conn, peer, group)
         else:
             self._discover_then_negotiate(conn)
         return conn
@@ -300,10 +293,18 @@ class TransferLayer:
                 return
             if peer in ll.discovered(local) and local in ll.discovered(peer):
                 state["negotiated"] = True
-                ll.negotiate_go(local, peer,
-                                on_complete=lambda group: self._conn_up(conn),
-                                on_failed=lambda i, r, reason:
-                                self._conn_failed(conn, reason))
+                try:
+                    ll.negotiate_go(local, peer,
+                                    on_complete=lambda group: self._conn_up(conn),
+                                    on_failed=lambda i, r, reason:
+                                    self._conn_failed(conn, reason))
+                except LinkError as exc:
+                    # the pair may be left from an earlier discovery and
+                    # the peer gone since; end both sessions so neither
+                    # node is left in FIND_*
+                    ll.abort_discovery(local)
+                    ll.abort_discovery(peer)
+                    self._conn_failed(conn, type(exc).__name__)
 
         def on_timeout(node):
             if not state["negotiated"]:
@@ -424,16 +425,12 @@ class TransferLayer:
             return app_seq
         ttl = ttl if ttl is not None else self.agents[src].config.default_ttl
         pkt = Packet(src, dst, app_seq, ttl, traffic_class, payload_bits)
-        handle = self.engine.call_later(
-            REPORT_TIMEOUT_US,
-            lambda: self._finalize(app_seq, DeliveryOutcome.LOST), src)
+        handle = self.engine.call_later(REPORT_TIMEOUT_US, self._finalize,
+                                        app_seq, DeliveryOutcome.LOST)
         self._pending[app_seq] = _PendingFlow(src, dst, self.engine.now(),
                                               handle)
-        self.engine.schedule(0, EventKind.APP_SEND, src, pkt)
+        self.engine.call_later(0, self.agents[src].forward, pkt)
         return app_seq
-
-    def _on_app_send(self, event) -> None:
-        self.agents[event.target].forward(event.payload)
 
     def deliver_local(self, node: NodeId, pkt: Packet) -> None:
         window, seen = self._dedup[node]
@@ -450,7 +447,8 @@ class TransferLayer:
         self.engine.log(node, EventClass.DELIVER, src=pkt.src,
                         app_seq=pkt.app_seq, cls=pkt.traffic_class,
                         bits=pkt.payload_bits)
-        self._finalize(pkt.app_seq, DeliveryOutcome.DELIVERED)
+        self._finalize(pkt.app_seq, DeliveryOutcome.DELIVERED,
+                       pkt.path + [node])
 
     def app_receive(self, node: NodeId) -> list[tuple[NodeId, int, int]]:
         """Everything delivered to this node so far: (src, payload_bits,
@@ -470,32 +468,19 @@ class TransferLayer:
                            unreachable: NodeId) -> None:
         self._finalize(app_seq, DeliveryOutcome.NO_ROUTE)
 
-    def _finalize(self, app_seq: int, outcome: DeliveryOutcome) -> None:
+    def _finalize(self, app_seq: int, outcome: DeliveryOutcome,
+                  path: list[NodeId] | None = None) -> None:
+        """Record the flow's one report; path is given for deliveries."""
         flow = self._pending.pop(app_seq, None)
         if flow is None:
             return  # already terminal (e.g. duplicate delivery)
         if flow.timeout_handle is not None:
             flow.timeout_handle.cancel()
-        path: list[NodeId] = []
         latency: int | None = None
         if outcome is DeliveryOutcome.DELIVERED:
-            path = self._path_from_trace(flow, app_seq)
             latency = self.engine.now() - flow.sent_at
         self.reports[app_seq] = DeliveryReport(app_seq, flow.src, flow.dst,
-                                               outcome, path, latency)
-
-    def _path_from_trace(self, flow: _PendingFlow, app_seq: int) -> list[NodeId]:
-        if flow.src == flow.dst:
-            return [flow.src]
-        path = []
-        for record in self.engine.trace.records:
-            details = dict(record.details)
-            if record.event_class is EventClass.FORWARD and \
-                    details.get("app_seq") == app_seq and \
-                    details.get("src") == flow.src:
-                path.append(record.node)
-        path.append(flow.dst)
-        return path
+                                               outcome, path or [], latency)
 
     def report(self, app_seq: int) -> DeliveryReport | None:
         return self.reports.get(app_seq)

@@ -92,6 +92,32 @@ def test_connection_closes_when_link_dies():
     assert conn.reason == "link_down"
 
 
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_stale_discovery_of_departed_peer_fails_the_connect(seed):
+    # A and B discover each other and group; A walks away (the group
+    # dissolves) and back.  B walks off after the second A->B connect
+    # starts.  When A then finds D (which is looking for C), the A-B pair
+    # left over from the first discovery ends A's session as if B had been
+    # found, and negotiation starts with a B that is out of range.  At most
+    # that fails the connect; it must not end the run.
+    sim = make_sim(
+        [("A", 0, 0, 2), ("B", 100, 0, 12), ("C", 0, 100, 3),
+         ("D", 0, 180, 11)],
+        script=[(0, "connect", "A", "B"), (10.5, "connect", "A", "B"),
+                (11, "connect", "C", "D")],
+        mobility=[(5, "A", -5000, 0), (10, "A", 0, 0), (10.8, "B", 5000, 0)],
+        seed=seed, duration_s=30)
+    sim.run()
+    ll = sim.linklayer
+    assert ll.state("A") is DeviceState.IDLE
+    assert ll.state("B") is DeviceState.IDLE
+    assert ("C", "D") in ll.deliverable_pairs()
+    ll.check_consistency()
+    second = [c for c in sim.transfer.connections
+              if (c.local, c.peer) == ("A", "B")][-1]
+    assert second.state is ConnectionState.CLOSED
+
+
 # ----------------------------------------------------------------------
 # frame arithmetic
 
