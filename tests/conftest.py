@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+
 import pytest
 
 from wfdsim.engine import Engine, SECOND
@@ -10,6 +13,13 @@ from wfdsim.scenario import (NodeSpec, Scenario, ScriptDirective, SimSettings,
                              TrafficSpec)
 from wfdsim.simulation import Simulation
 from wfdsim.topology import Position, Topology
+
+# `pythonpath` in pyproject.toml puts src/ on sys.path of the test process
+# only; tests that start `python -m wfdsim.cli` need it in the environment
+_SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+if _SRC not in os.environ.get("PYTHONPATH", "").split(os.pathsep):
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 def make_link_world(positions, intents=None, seed=1, config=None,

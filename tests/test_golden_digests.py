@@ -1,10 +1,14 @@
-"""Golden trace digests: the bundled scenarios must keep producing the exact
-same trace bytes.  A refactor that is meant to keep behaviour unchanged
-shows it here; a deliberate behaviour change updates these digests and
-says why."""
+"""Golden trace digests: the bundled scenarios and the benchmark's generated
+workloads must keep producing the exact same trace bytes.  A refactor that
+is meant to keep behaviour unchanged shows it here; a deliberate behaviour
+change updates these digests and says why."""
+
+import pathlib
+import types
 
 import pytest
 
+from wfdsim.scenario import load_scenario
 from wfdsim.simulation import Simulation
 
 GOLDEN = {
@@ -24,3 +28,51 @@ def test_bundled_scenario_trace_digest_is_pinned(name):
     sim = Simulation.from_source(name)
     sim.run()
     assert sim.trace.sha256() == GOLDEN[name]
+
+
+def test_summary_mid_run_keeps_later_records_in_the_trace():
+    # summary() formats the trace so far; records emitted after it must
+    # still reach lines(), dump() and sha256()
+    sim = Simulation.from_source("chain4")
+    sim.run_until(sim.scenario.sim.duration_us // 2)
+    early = sim.summary()
+    seen = len(sim.trace.lines())
+    sim.run()
+    lines = sim.trace.lines()
+    assert len(lines) > seen
+    assert lines == [r.line() for r in sim.trace.records]
+    assert sim.trace.dump() == "".join(line + "\n" for line in lines)
+    assert sim.trace.sha256() == GOLDEN["chain4"]
+    assert sim.summary() != early
+
+
+# seed-1 digests of bench/workloads.py; chain_long is the only scenario
+# whose full dumps carry 128 entries, so it pins the routing merge rules
+# at a size the bundled scenarios never reach
+WORKLOAD_GOLDEN = {
+    "chain_long":
+        "c4681c98b72e3977f3249281d0eba7b7da56f3067b47be599446f14fb69e9c98",
+    "flows_many":
+        "48e4cbd97b6347d8bac97e6d33b14beed0adbe569e4905f8329d08b4c1cff3e0",
+    "churn_grid":
+        "2eb84d082adab812b55f9966a7f51ef0ed08ec9163889e06497680f0d5053a18",
+}
+
+
+def _bench_workloads():
+    # read and executed in memory, so nothing is written next to it
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / \
+        "workloads.py"
+    module = types.ModuleType("bench_workloads")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
+         module.__dict__)
+    return module
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_GOLDEN))
+def test_bench_workload_trace_digest_is_pinned(name):
+    scenario = load_scenario(_bench_workloads().generate(name, 1))
+    sim = Simulation(scenario)
+    sim.run_until(scenario.sim.duration_us)
+    assert sim.trace.sha256() == WORKLOAD_GOLDEN[name]

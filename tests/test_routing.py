@@ -3,6 +3,8 @@ forwarding, invalidation.  The multi-node behaviors are exercised through
 small simulations; the merge rules also get a synchronous-rounds oracle
 comparison against networkx shortest paths."""
 
+import dataclasses
+
 import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +13,8 @@ from wfdsim.engine import SECOND, Engine, EventClass
 from wfdsim.routing import (INFINITE_HOPS, AdvertEntry, LinkMetrics,
                             NoRouteError, Packet, RoutingAgent, RoutingConfig,
                             RoutingEntry, RoutingTable, TableAdvert,
-                            TrafficClass, merge_advert, select_route)
+                            TrafficClass, _consider, merge_advert,
+                            select_route)
 from wfdsim.summary import parse_trace_line
 
 from conftest import make_sim
@@ -146,6 +149,85 @@ def test_merge_invariants_under_random_adverts(entries, sender):
                 assert alt.seq_no == primary.seq_no
                 assert alt.hop_count == primary.hop_count
                 assert alt.next_hop != primary.next_hop
+
+
+def reference_merge(table, adv_msg, link, now):
+    """merge_advert without early rejects: every advertised entry becomes a
+    candidate RoutingEntry and goes through _consider."""
+    changed = set()
+    for adv in adv_msg.entries:
+        if adv.dest == table.owner:
+            continue
+        if adv.hop_count >= INFINITE_HOPS:
+            cand = RoutingEntry(adv.dest, adv_msg.sender, INFINITE_HOPS,
+                                adv.seq_no, 0, 0.0, now)
+        else:
+            cand = RoutingEntry(adv.dest, adv_msg.sender, adv.hop_count + 1,
+                                adv.seq_no, adv.latency_us + link.latency_us,
+                                adv.energy_cost + link.energy_cost, now)
+        if _consider(table, cand):
+            changed.add(adv.dest)
+    table.dirty |= changed
+    return changed
+
+
+_COMPARED = [f.name for f in dataclasses.fields(RoutingEntry)
+             if f.name != "last_updated"]
+
+
+def table_state(table):
+    return {dst: [tuple(getattr(e, name) for name in _COMPARED)
+                  for e in slots]
+            for dst, slots in table.entries.items()}
+
+
+NEIGHBORS = ["b", "x", "y"]
+# small value sets, so advertised candidates often tie a table entry
+_route = st.tuples(st.sampled_from(NEIGHBORS), st.integers(0, 8),
+                   st.integers(1, 4), st.sampled_from([2000, 3000, 4000]),
+                   st.sampled_from([1.0, 1.5, 2.0]))
+_slot_specs = st.tuples(_route, st.none() | st.tuples(
+    st.sampled_from(NEIGHBORS), st.sampled_from([2000, 3000, 5000]),
+    st.sampled_from([1.0, 2.5])))
+_advert_entry = st.tuples(
+    st.sampled_from(["a", "b", "c", "d", "e", "x", "y"]),
+    st.integers(0, 8),                                   # any parity
+    st.sampled_from([0, 1, 2, 3, INFINITE_HOPS - 1, INFINITE_HOPS]),
+    st.sampled_from([0, 1000, 2000]),
+    st.sampled_from([0.0, 0.5, 1.0]))
+_link = st.sampled_from([LinkMetrics(1000, 0.5), LinkMetrics(2000, 1.0)])
+
+
+def build_table(spec):
+    """Table owned by "a" from {dst: (primary, alternate or None)}; an odd
+    primary sequence makes an invalidated entry, which keeps no alternate."""
+    table = RoutingTable("a")
+    for dst, ((hop, seq, hops, lat, energy), alt) in spec.items():
+        if seq % 2:
+            table.entries[dst] = [RoutingEntry(dst, hop, INFINITE_HOPS, seq,
+                                               0, 0.0, 0)]
+            continue
+        slots = [RoutingEntry(dst, hop, hops, seq, lat, energy, 0)]
+        if alt is not None and alt[0] != hop:
+            slots.append(RoutingEntry(dst, alt[0], hops, seq, alt[1],
+                                      alt[2], 0))
+        table.entries[dst] = slots
+    return table
+
+
+@given(st.dictionaries(st.sampled_from(["b", "c", "d", "e", "x", "y"]),
+                       _slot_specs, max_size=6),
+       st.lists(st.tuples(st.sampled_from(NEIGHBORS), _link,
+                          st.lists(_advert_entry, max_size=8)),
+                max_size=12))
+def test_merge_early_reject_matches_full_candidate_fold(spec, adverts):
+    fast, slow = build_table(spec), build_table(spec)
+    for now, (sender, link, entries) in enumerate(adverts, start=1):
+        msg = advert(sender, entries)
+        assert merge_advert(fast, msg, link, now) == \
+            reference_merge(slow, msg, link, now)
+        assert table_state(fast) == table_state(slow)
+        assert fast.dirty == slow.dirty
 
 
 # ----------------------------------------------------------------------
