@@ -7,6 +7,10 @@ way to schedule work: `Engine.call_later(delay_us, fn, *args)`, which runs
 ordered by (fire_at, seq) where seq is the insertion sequence, so ties at
 equal fire_at resolve in schedule order and replays are exact.
 
+Each queued event is a list `[fire_at, seq, fn, args]`.  seq is unique, so
+heap comparisons never reach `fn` and run entirely in C.  Cancelling sets
+`fn` to None; the event stays queued and is skipped when popped.
+
 The trace is write-only for the simulator: layers emit records into it,
 and only the summary (`summary.build_summary`) reads them back.
 """
@@ -17,7 +21,7 @@ import hashlib
 import heapq
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable
 
@@ -40,33 +44,24 @@ class EventClass(Enum):
     CONNECT = "CONNECT"
 
 
-@dataclass(order=True)
-class Event:
-    fire_at: int
-    seq: int
-    fn: Callable[..., None] = field(compare=False)
-    args: tuple = field(compare=False)
-    cancelled: bool = field(compare=False, default=False)
-
-
 class EventHandle:
     """Cancellation token for a scheduled event."""
 
     __slots__ = ("_event",)
 
-    def __init__(self, event: Event):
+    def __init__(self, event: list):
         self._event = event
 
     def cancel(self) -> None:
-        self._event.cancelled = True
+        self._event[2] = None
 
     @property
     def cancelled(self) -> bool:
-        return self._event.cancelled
+        return self._event[2] is None
 
     @property
     def fire_at(self) -> int:
-        return self._event.fire_at
+        return self._event[0]
 
 
 def _format_value(value: Any) -> str:
@@ -101,20 +96,29 @@ class Trace:
     ``time_us node EVENT_CLASS key=value ...``
     with keys in the order the emitting site listed them.  Records appear
     in (time, seq) order because they are emitted from in-order event
-    processing.
+    processing.  Each record is formatted once: the formatted lines are
+    kept, and later calls format only the records emitted since.
     """
 
     def __init__(self) -> None:
         self.records: list[TraceRecord] = []
+        self._lines: list[str] = []
 
     def emit(self, record: TraceRecord) -> None:
         self.records.append(record)
 
+    def _formatted(self) -> list[str]:
+        lines = self._lines
+        if len(lines) < len(self.records):
+            lines += [r.line() for r in self.records[len(lines):]]
+        return lines
+
     def lines(self) -> list[str]:
-        return [r.line() for r in self.records]
+        return list(self._formatted())
 
     def dump(self) -> str:
-        return "".join(line + "\n" for line in self.lines())
+        lines = self._formatted()
+        return "\n".join(lines) + "\n" if lines else ""
 
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -162,7 +166,7 @@ class Engine:
 
     def __init__(self, seed: int = 0):
         self._now = 0
-        self._queue: list[Event] = []
+        self._queue: list[list] = []  # [fire_at, seq, fn, args] heap
         self._seq = itertools.count()
         self._last_popped: tuple[int, int] | None = None
         self.rng = RandomSource(seed)
@@ -180,7 +184,7 @@ class Engine:
         """Run fn(*args) delay_us from now; the handle cancels it."""
         if delay_us < 0:
             raise ValueError(f"negative delay {delay_us}")
-        event = Event(self._now + delay_us, next(self._seq), fn, args)
+        event = [self._now + delay_us, next(self._seq), fn, args]
         heapq.heappush(self._queue, event)
         return EventHandle(event)
 
@@ -188,17 +192,18 @@ class Engine:
         """Process every event with fire_at <= t_end_us; now() ends at t_end_us."""
         if t_end_us < self._now:
             raise ValueError(f"t_end {t_end_us} is in the past (now={self._now})")
+        queue, pop = self._queue, heapq.heappop
         steps = 0
-        while self._queue and self._queue[0].fire_at <= t_end_us:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
+        while queue and queue[0][0] <= t_end_us:
+            fire_at, seq, fn, args = pop(queue)
+            if fn is None:
                 continue
-            key = (event.fire_at, event.seq)
+            key = (fire_at, seq)
             assert self._last_popped is None or key > self._last_popped, \
                 "event order violated"
             self._last_popped = key
-            self._now = event.fire_at
-            event.fn(*event.args)
+            self._now = fire_at
+            fn(*args)
             steps += 1
         self._now = t_end_us
         self.steps += steps

@@ -14,12 +14,25 @@ traffic, minimum energy for bulk) operates over these candidates; the equal
 hop count requirement keeps every candidate strictly closer to the
 destination, which is what makes per-hop class selection loop-free once
 tables have converged.
+
+Merging skips, before building any entry, the advertised candidates that
+cannot change the table.  Against the destination's primary these are: an
+older sequence number (freshness-first rejects it outright); an equal
+sequence via the primary's own next hop with identical hops, latency and
+energy (it would only replace the primary with an equal route); and an
+equal sequence via another neighbor with more hops (neither better nor an
+equal-hop alternate).  This is the DSDV rule that an update carrying no new
+information is dropped.  Every other candidate goes through `_consider`.
+Because an identical refresh is skipped, `RoutingEntry.last_updated` is
+the time a route was adopted or changed, not when it was last heard.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
+from typing import NamedTuple
 
 from .engine import Engine, EventClass, NodeId
 
@@ -61,8 +74,12 @@ class Packet:
             raise ValueError("payload_bits must be non-negative")
 
 
-@dataclass
+@dataclass(slots=True)
 class RoutingEntry:
+    """One candidate route.  `last_updated` is the virtual time the route
+    was adopted or changed; a refresh identical to it is not merged, so it
+    is not the time the route was last heard.  Nothing reads it."""
+
     destination: NodeId
     next_hop: NodeId
     hop_count: int
@@ -76,13 +93,17 @@ class RoutingEntry:
         return self.hop_count < INFINITE_HOPS
 
 
-@dataclass(frozen=True)
-class AdvertEntry:
+class AdvertEntry(NamedTuple):
     dest: NodeId
     seq_no: int
     hop_count: int
     latency_us: int
     energy_cost: float
+
+
+# builds an AdvertEntry from a tuple in C, without the Python-level __new__
+# that AdvertEntry(...) runs
+_new_advert_entry = partial(tuple.__new__, AdvertEntry)
 
 
 @dataclass
@@ -173,19 +194,36 @@ def merge_advert(table: RoutingTable, advert: TableAdvert, link: LinkMetrics,
     dirty set).
     """
     changed: set[NodeId] = set()
-    for adv in advert.entries:
-        if adv.dest == table.owner:
+    entries = table.entries
+    owner = table.owner
+    sender = advert.sender
+    link_latency, link_energy = link.latency_us, link.energy_cost
+    for dest, seq, hops, latency, energy in advert.entries:
+        if dest == owner:
             continue
-        if adv.hop_count >= INFINITE_HOPS:
-            cand = RoutingEntry(adv.dest, advert.sender, INFINITE_HOPS,
-                                adv.seq_no, 0, 0.0, now)
+        if hops >= INFINITE_HOPS:
+            hops, latency, energy = INFINITE_HOPS, 0, 0.0
         else:
-            cand = RoutingEntry(adv.dest, advert.sender,
-                                adv.hop_count + 1, adv.seq_no,
-                                adv.latency_us + link.latency_us,
-                                adv.energy_cost + link.energy_cost, now)
-        if _consider(table, cand):
-            changed.add(adv.dest)
+            hops += 1
+            latency += link_latency
+            energy += link_energy
+        slots = entries.get(dest)
+        if slots:
+            # candidates _consider would leave without effect (module doc)
+            primary = slots[0]
+            if seq < primary.seq_no:
+                continue
+            if seq == primary.seq_no:
+                if primary.next_hop == sender:
+                    if (hops == primary.hop_count
+                            and latency == primary.latency_us
+                            and energy == primary.energy_cost):
+                        continue
+                elif hops > primary.hop_count:
+                    continue
+        if _consider(table, RoutingEntry(dest, sender, hops, seq, latency,
+                                         energy, now)):
+            changed.add(dest)
     table.dirty |= changed
     return changed
 
@@ -244,9 +282,7 @@ def _wire_entries(entries: list[AdvertEntry]) -> str:
     joined by commas; '-' for an empty advert."""
     if not entries:
         return "-"
-    return ",".join(
-        f"{e.dest}:{e.seq_no}:{e.hop_count}:{e.latency_us}:{e.energy_cost:g}"
-        for e in entries)
+    return ",".join(["%s:%s:%s:%s:%g" % entry for entry in entries])
 
 
 def select_route(table: RoutingTable, dst: NodeId,
@@ -348,15 +384,15 @@ class RoutingAgent:
 
     def advert_tick(self) -> None:
         self.tick_count += 1
+        table = self.table
         full = self.tick_count % self.config.full_dump_every == 0
         if full:
-            self.table.self_seq += 2
-            entries = [AdvertEntry(self.node, self.table.self_seq, 0, 0, 0.0)]
-            entries += [self._advert_entry(d) for d in self.table.destinations()]
-        elif self.table.dirty:
-            entries = [self._advert_entry(d)
-                       for d in sorted(self.table.dirty)
-                       if d in self.table.entries]
+            table.self_seq += 2
+            entries = [AdvertEntry(self.node, table.self_seq, 0, 0, 0.0)]
+            entries += self._advert_entries(table.destinations())
+        elif table.dirty:
+            entries = self._advert_entries(
+                d for d in sorted(table.dirty) if d in table.entries)
         else:
             return
         advert = TableAdvert(self.node, self.energy_cost, entries, full)
@@ -368,12 +404,20 @@ class RoutingAgent:
                         full=full, n=len(entries), cost=self.energy_cost,
                         entries=_wire_entries(entries))
 
-    def _advert_entry(self, dst: NodeId) -> AdvertEntry:
-        e = self.table.entries[dst][0]
-        if not e.valid:
-            return AdvertEntry(dst, e.seq_no, INFINITE_HOPS, 0, 0.0)
-        return AdvertEntry(dst, e.seq_no, e.hop_count, e.latency_us,
-                           e.energy_cost)
+    def _advert_entries(self, dests) -> list[AdvertEntry]:
+        """The advertised primary route to each destination; an invalid
+        one goes out with infinite hops and zero latency and energy."""
+        slots_of = self.table.entries
+        entries = []
+        for dst in dests:
+            e = slots_of[dst][0]
+            if e.hop_count < INFINITE_HOPS:
+                entries.append(_new_advert_entry(
+                    (dst, e.seq_no, e.hop_count, e.latency_us, e.energy_cost)))
+            else:
+                entries.append(_new_advert_entry(
+                    (dst, e.seq_no, INFINITE_HOPS, 0, 0.0)))
+        return entries
 
     def _on_advert(self, advert: TableAdvert, sent_at: int) -> None:
         now = self.engine.now()
