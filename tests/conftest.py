@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import pathlib
+import types
 
 import pytest
 
@@ -20,6 +21,18 @@ _SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 if _SRC not in os.environ.get("PYTHONPATH", "").split(os.pathsep):
     os.environ["PYTHONPATH"] = os.pathsep.join(
         p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
+
+
+def load_bench_module(stem: str) -> types.ModuleType:
+    """bench/<stem>.py, read and executed in memory so nothing is written
+    next to it."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / \
+        f"{stem}.py"
+    module = types.ModuleType(f"bench_{stem}")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
+         module.__dict__)
+    return module
 
 
 def make_link_world(positions, intents=None, seed=1, config=None,

@@ -3,13 +3,12 @@ workloads must keep producing the exact same trace bytes.  A refactor that
 is meant to keep behaviour unchanged shows it here; a deliberate behaviour
 change updates these digests and says why."""
 
-import pathlib
-import types
-
 import pytest
 
 from wfdsim.scenario import load_scenario
 from wfdsim.simulation import Simulation
+
+from conftest import load_bench_module
 
 GOLDEN = {
     "chain4":
@@ -60,14 +59,7 @@ WORKLOAD_GOLDEN = {
 
 
 def _bench_workloads():
-    # read and executed in memory, so nothing is written next to it
-    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / \
-        "workloads.py"
-    module = types.ModuleType("bench_workloads")
-    module.__file__ = str(path)
-    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
-         module.__dict__)
-    return module
+    return load_bench_module("workloads")
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOAD_GOLDEN))

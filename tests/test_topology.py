@@ -87,19 +87,20 @@ def test_duplicate_node_rejected():
 
 coords = st.floats(min_value=-500, max_value=500, allow_nan=False,
                    allow_infinity=False)
+ranges = st.floats(min_value=1, max_value=600, allow_nan=False,
+                   allow_infinity=False)
 
 
-@given(st.lists(st.tuples(coords, coords), min_size=2, max_size=8),
+@given(st.lists(st.tuples(coords, coords, ranges), min_size=2, max_size=8),
        st.lists(st.tuples(st.integers(0, 7), st.tuples(coords, coords)),
                 max_size=5))
 def test_neighbors_agree_with_brute_force(points, moves):
+    # each node draws its own range, so a neighbor computation that used
+    # only one end's range would disagree with the oracle
     topo = Topology()
     names = [f"n{i}" for i in range(len(points))]
-    for name, (x, y) in zip(names, points):
-        topo.add_node(name, Position(x, y))
-    for idx, (x, y) in moves:
-        if idx < len(names):
-            topo.apply_move(names[idx], Position(x, y))
+    for name, (x, y, range_m) in zip(names, points):
+        topo.add_node(name, Position(x, y), RadioProfile(range_m=range_m))
 
     def brute_neighbors(node):
         # same squared-distance arithmetic as production so the oracle value
@@ -116,6 +117,15 @@ def test_neighbors_agree_with_brute_force(points, moves):
             if d2 <= reach * reach:
                 result.add(other)
         return result
+
+    for idx, (x, y) in moves:
+        if idx < len(names):
+            mover = names[idx]
+            before = brute_neighbors(mover)
+            flips = topo.apply_move(mover, Position(x, y))
+            after = brute_neighbors(mover)
+            assert flips == [(peer, peer in after)
+                             for peer in sorted(before ^ after)]
 
     for node in names:
         assert node not in topo.neighbors(node)

@@ -155,6 +155,21 @@ def test_send_to_peer_that_moved_away_reports_lost_and_invalidates():
     assert not sim.table("a").primary("b").valid
 
 
+def test_swallowed_data_frame_times_out_as_lost():
+    # a send whose frame vanishes without a trace of loss is settled only
+    # by the report timeout; the run carries on and the link layer stays
+    # consistent
+    sim = pair_sim(duration_s=40)
+    sim.run_until(3 * SECOND)
+    sim.transfer.send_data = lambda node, pkt, next_hop: True
+    seq = sim.transfer.app_send("a", "b", 100, TrafficClass.REAL_TIME)
+    sim.run_until(10 * SECOND)
+    assert sim.transfer.report(seq) is None
+    sim.run_until(35 * SECOND)
+    assert sim.transfer.report(seq).outcome is DeliveryOutcome.LOST
+    sim.linklayer.check_consistency()
+
+
 # ----------------------------------------------------------------------
 # app interface
 
