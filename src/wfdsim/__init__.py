@@ -16,8 +16,6 @@ from .simulation import Simulation
 from .summary import Summary, build_summary, parse_trace_line
 from .topology import Position, RadioProfile, Topology, UnknownNodeError
 from .transfer import (Connection, ConnectionState, DeliveryOutcome,
-                       DeliveryReport, RoleConflictError, StubTransport,
-                       TransferLayer, TransportId, TransportRegistry,
-                       UnsupportedTransportError, WifiDirectSimTransport)
+                       DeliveryReport, RoleConflictError, TransferLayer)
 
 __version__ = "0.1.0"

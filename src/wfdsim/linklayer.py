@@ -103,6 +103,10 @@ class Group:
     def members(self) -> set[NodeId]:
         return self.clients | self.legacy
 
+    def has(self, node: NodeId) -> bool:
+        """Whether node is a client or a bridged member (not the owner)."""
+        return node in self.clients or node in self.legacy
+
     def assign_address(self, node: NodeId) -> int:
         addr = self._next_addr
         self._next_addr += 1
@@ -241,10 +245,14 @@ class LinkLayer:
     def unicast_group(self, a: NodeId, b: NodeId) -> Group | None:
         """The group in whose context a may unicast to b, if any."""
         group = self.owned_group(a)
-        if group is not None and b in group.members():
+        if group is not None and group.has(b):
             return group
-        for group in ([self.client_group(a)] if self.client_group(a) else []) \
-                + self.bridge_groups(a):
+        group = self.client_group(a)
+        if group is not None and group.owner == b:
+            return group
+        # group owners are unique, so at most one bridged group matches
+        for gid in self._bridges.get(a, ()):
+            group = self.groups[gid]
             if group.owner == b:
                 return group
         return None
@@ -317,11 +325,11 @@ class LinkLayer:
                 continue
             if peer_id in self._discovered[session.node]:
                 continue
-            if not self.topology.in_range(session.node, peer_id):
-                continue
             if peer.leg_state is session.leg_state:
                 continue  # both searching or both listening
             if peer.leg_channel != session.leg_channel:
+                continue
+            if not self.topology.in_range(session.node, peer_id):
                 continue
             overlap = min(session.leg_end, peer.leg_end) - now
             if overlap < self.config.overlap_min_us:
@@ -613,14 +621,13 @@ class LinkLayer:
         group = self.groups.get(frame.group_id)
         if group is None:
             raise NotInGroupError(f"no group {frame.group_id}")
-        members = group.members()
-        if frame.src != group.owner and frame.src not in members:
+        if frame.src != group.owner and not group.has(frame.src):
             raise NotInGroupError(f"{frame.src} not in group {frame.group_id}")
         frame.sent_at = self.engine.now()
 
         if frame.dst == BROADCAST:
             if frame.src == group.owner:
-                recipients = {m for m in members
+                recipients = {m for m in group.members()
                               if self.topology.in_range(frame.src, m)}
             else:
                 recipients = ({group.owner}
@@ -630,7 +637,7 @@ class LinkLayer:
                 self._schedule_arrival(frame, dst)
             return recipients
 
-        if frame.dst != group.owner and frame.dst not in members:
+        if frame.dst != group.owner and not group.has(frame.dst):
             raise NotInGroupError(f"{frame.dst} not in group {frame.group_id}")
         if group.owner not in (frame.src, frame.dst):
             raise ForbiddenByRoleError(
@@ -651,8 +658,8 @@ class LinkLayer:
     def _on_frame_arrival(self, frame: Frame, dst: NodeId) -> None:
         group = self.groups.get(frame.group_id)
         legal = (group is not None
-                 and (frame.src == group.owner or frame.src in group.members())
-                 and (dst == group.owner or dst in group.members()))
+                 and (frame.src == group.owner or group.has(frame.src))
+                 and (dst == group.owner or group.has(dst)))
         if not legal or not self.topology.in_range(frame.src, dst):
             self.engine.log(frame.src, EventClass.DROP, reason="lost",
                             dst=dst, group=frame.group_id,

@@ -4,6 +4,8 @@ scripted moves.
 Reachability is a symmetric disc model: two nodes are in range iff their
 Euclidean distance is at most the smaller of the two radio ranges.  Range
 comparisons use squared distances so no square root enters the decision.
+Neighbor sets are maintained on add and move, so a range query is a set
+lookup and a move's flips are the difference between its old and new sets.
 """
 
 from __future__ import annotations
@@ -35,7 +37,9 @@ class RadioProfile:
     per_hop_mac_latency_us: int = 2_000
 
     def __post_init__(self):
-        if self.range_m <= 0:
+        # written so NaN fails too: a NaN range would make in_range
+        # depend on which end's neighbor set is asked
+        if not self.range_m > 0:
             raise ValueError("range_m must be positive")
         if self.data_rate_bps <= 0:
             raise ValueError("data_rate_bps must be positive")
@@ -45,6 +49,7 @@ class Topology:
     def __init__(self) -> None:
         self._positions: dict[NodeId, Position] = {}
         self._profiles: dict[NodeId, RadioProfile] = {}
+        self._near: dict[NodeId, set[NodeId]] = {}  # mirrored on both ends
 
     def add_node(self, node: NodeId, position: Position,
                  profile: RadioProfile | None = None) -> None:
@@ -52,6 +57,9 @@ class Topology:
             raise ValueError(f"duplicate node id {node!r}")
         self._positions[node] = position
         self._profiles[node] = profile or RadioProfile()
+        near = self._near[node] = self._reach(node)
+        for peer in near:
+            self._near[peer].add(node)
 
     def nodes(self) -> list[NodeId]:
         return sorted(self._positions)
@@ -69,30 +77,45 @@ class Topology:
         self._check(b)
         if a == b:
             raise ValueError("in_range is not defined for a node with itself")
-        pa, pb = self._positions[a], self._positions[b]
-        dx, dy = pa.x - pb.x, pa.y - pb.y
-        reach = min(self._profiles[a].range_m, self._profiles[b].range_m)
-        return dx * dx + dy * dy <= reach * reach
+        return b in self._near[a]
 
     def neighbors(self, node: NodeId) -> set[NodeId]:
         self._check(node)
-        return {m for m in self._positions if m != node and self.in_range(node, m)}
+        return set(self._near[node])
 
     def apply_move(self, node: NodeId, new_pos: Position) -> list[tuple[NodeId, bool]]:
         """Move a node; returns the (peer, now_in_range) relationships that
         flipped, in peer-id order.  An identity move flips nothing."""
         self._check(node)
-        old = self._positions[node]
-        if new_pos == old:
+        if new_pos == self._positions[node]:
             return []
-        before = {m: self.in_range(node, m) for m in self._positions if m != node}
+        before = self._near[node]
         self._positions[node] = new_pos
-        changes = []
-        for peer in sorted(before):
-            now = self.in_range(node, peer)
-            if now != before[peer]:
-                changes.append((peer, now))
-        return changes
+        after = self._near[node] = self._reach(node)
+        for peer in before - after:
+            self._near[peer].discard(node)
+        for peer in after - before:
+            self._near[peer].add(node)
+        return [(peer, peer in after) for peer in sorted(before ^ after)]
+
+    def _reach(self, node: NodeId) -> set[NodeId]:
+        """The other nodes in range of `node` at the current positions."""
+        p = self._positions[node]
+        x, y = p.x, p.y
+        range_m = self._profiles[node].range_m
+        # every add_node scans all nodes, so skip the profile lookup for a
+        # peer beyond range_m: the reach below is never larger than that
+        limit = range_m * range_m
+        profiles = self._profiles
+        near = set()
+        for peer, q in self._positions.items():
+            dx, dy = x - q.x, y - q.y
+            d2 = dx * dx + dy * dy
+            if d2 <= limit and peer != node:
+                reach = min(range_m, profiles[peer].range_m)
+                if d2 <= reach * reach:
+                    near.add(peer)
+        return near
 
     def _check(self, node: NodeId) -> None:
         if node not in self._positions:

@@ -1,15 +1,14 @@
-"""Connection orchestration, the transport registry, and the application
-facing send/receive interface with per-flow delivery reports.
+"""Connection orchestration and the application facing send/receive
+interface with per-flow delivery reports.
+
+Frames go straight to the Wi-Fi Direct link layer: a unicast is sent in the
+context of the one group in which the two nodes may exchange frames
+(`LinkLayer.unicast_group`), and a control broadcast goes into every group
+context of the sending node.
 
 A delivery report's path is the one the packet recorded on itself as it
 was forwarded (`Packet.path`), plus the node that delivered it; the
 transfer layer never reads the trace back.
-
-The transport registry decouples the routing layer from the link model:
-exactly one registered transport claims any given link.  Only the simulated
-Wi-Fi Direct transport is functional; ZigBee and Bluetooth are registered
-stubs that reject every send, present so the surface for additional
-technologies exists and can be tested.
 """
 
 from __future__ import annotations
@@ -32,94 +31,6 @@ class RoleConflictError(TransferError):
     pass
 
 
-class UnsupportedTransportError(TransferError):
-    pass
-
-
-class TransportId(Enum):
-    WIFI_DIRECT_SIM = "WIFI_DIRECT_SIM"
-    ZIGBEE = "ZIGBEE"
-    BLUETOOTH = "BLUETOOTH"
-
-
-class Transport:
-    """Interface to one wireless technology."""
-
-    technology: TransportId
-
-    def claims_link(self, a: NodeId, b: NodeId) -> bool:
-        raise NotImplementedError
-
-    def claims_group(self, node: NodeId, group_id: int) -> bool:
-        raise NotImplementedError
-
-    def send_frame(self, frame: Frame) -> set[NodeId]:
-        raise NotImplementedError
-
-
-class WifiDirectSimTransport(Transport):
-    technology = TransportId.WIFI_DIRECT_SIM
-
-    def __init__(self, linklayer: LinkLayer):
-        self.linklayer = linklayer
-
-    def claims_link(self, a: NodeId, b: NodeId) -> bool:
-        return self.linklayer.unicast_group(a, b) is not None
-
-    def claims_group(self, node: NodeId, group_id: int) -> bool:
-        group = self.linklayer.groups.get(group_id)
-        return group is not None and (group.owner == node
-                                      or node in group.members())
-
-    def send_frame(self, frame: Frame) -> set[NodeId]:
-        return self.linklayer.deliver_frame(frame)
-
-
-class StubTransport(Transport):
-    """Registered but non-functional technology: claims no links and
-    rejects every send."""
-
-    def __init__(self, technology: TransportId):
-        self.technology = technology
-
-    def claims_link(self, a: NodeId, b: NodeId) -> bool:
-        return False
-
-    def claims_group(self, node: NodeId, group_id: int) -> bool:
-        return False
-
-    def send_frame(self, frame: Frame) -> set[NodeId]:
-        raise UnsupportedTransportError(
-            f"{self.technology.value} transport is a stub")
-
-
-class TransportRegistry:
-    def __init__(self) -> None:
-        self._transports: dict[TransportId, Transport] = {}
-
-    def register(self, transport: Transport) -> None:
-        self._transports[transport.technology] = transport
-
-    def remove(self, technology: TransportId) -> None:
-        self._transports.pop(technology, None)
-
-    def get(self, technology: TransportId) -> Transport | None:
-        return self._transports.get(technology)
-
-    def for_link(self, a: NodeId, b: NodeId) -> Transport:
-        for transport in self._transports.values():
-            if transport.claims_link(a, b):
-                return transport
-        raise UnsupportedTransportError(f"no transport claims link {a}-{b}")
-
-    def for_group(self, node: NodeId, group_id: int) -> Transport:
-        for transport in self._transports.values():
-            if transport.claims_group(node, group_id):
-                return transport
-        raise UnsupportedTransportError(
-            f"no transport claims group {group_id} for {node}")
-
-
 class ConnectionState(Enum):
     CONNECTING = "CONNECTING"
     UP = "UP"
@@ -130,7 +41,6 @@ class ConnectionState(Enum):
 class Connection:
     local: NodeId
     peer: NodeId
-    transport: TransportId
     state: ConnectionState = ConnectionState.CONNECTING
     reason: str = ""
 
@@ -169,15 +79,9 @@ class TransferLayer:
     arrivals up to the routing agents, maintains per-node inboxes with a
     (src, app_seq) de-duplication window, and tracks per-flow outcomes."""
 
-    def __init__(self, engine: Engine, linklayer: LinkLayer,
-                 registry: TransportRegistry | None = None):
+    def __init__(self, engine: Engine, linklayer: LinkLayer):
         self.engine = engine
         self.linklayer = linklayer
-        self.registry = registry or TransportRegistry()
-        if self.registry.get(TransportId.WIFI_DIRECT_SIM) is None:
-            self.registry.register(WifiDirectSimTransport(linklayer))
-            self.registry.register(StubTransport(TransportId.ZIGBEE))
-            self.registry.register(StubTransport(TransportId.BLUETOOTH))
         self.agents: dict[NodeId, RoutingAgent] = {}
         self.connections: list[Connection] = []
         self._inboxes: dict[NodeId, list[tuple[NodeId, int, int]]] = {}
@@ -207,7 +111,7 @@ class TransferLayer:
         already owns a group, a bridge when both do."""
         if local == peer:
             raise ValueError("cannot connect a node to itself")
-        if not self.topology_in_range(local, peer):
+        if not self.linklayer.topology.in_range(local, peer):
             raise OutOfRangeError(f"{local} and {peer} are out of range")
         ll = self.linklayer
         ls, ps = ll.state(local), ll.state(peer)
@@ -250,7 +154,7 @@ class TransferLayer:
         return conn
 
     def _track(self, local, peer, state) -> Connection:
-        conn = Connection(local, peer, TransportId.WIFI_DIRECT_SIM, state)
+        conn = Connection(local, peer, state)
         self.connections.append(conn)
         if state is ConnectionState.UP:
             self.engine.log(local, EventClass.CONNECT, action="up", peer=peer)
@@ -315,9 +219,6 @@ class TransferLayer:
         ll.start_discovery(peer, target=local, on_found=maybe_negotiate,
                            on_timeout=on_timeout)
 
-    def topology_in_range(self, a: NodeId, b: NodeId) -> bool:
-        return self.linklayer.topology.in_range(a, b)
-
     def _on_link_up(self, a: NodeId, b: NodeId) -> None:
         for node, peer in ((a, b), (b, a)):
             agent = self.agents.get(node)
@@ -354,14 +255,8 @@ class TransferLayer:
             groups.append(client)
         groups += self.linklayer.bridge_groups(node)
         for group in groups:
-            frame = Frame(node, BROADCAST, group.group_id, CONTROL_FRAME_BITS,
-                          msg)
-            try:
-                transport = self.registry.for_group(node, group.group_id)
-                reached |= transport.send_frame(frame)
-            except UnsupportedTransportError:
-                self.engine.log(node, EventClass.DROP, reason="unsupported",
-                                group=group.group_id)
+            reached |= self.linklayer.deliver_frame(
+                Frame(node, BROADCAST, group.group_id, CONTROL_FRAME_BITS, msg))
         return reached
 
     def send_control(self, node: NodeId, peer: NodeId, msg) -> bool:
@@ -380,14 +275,8 @@ class TransferLayer:
                             detail="no_link")
             self._report_loss(node, peer, payload)
             return False
-        frame = Frame(node, peer, group.group_id, size_bits, payload)
-        try:
-            transport = self.registry.for_link(node, peer)
-            transport.send_frame(frame)
-        except UnsupportedTransportError:
-            self.engine.log(node, EventClass.DROP, reason="unsupported",
-                            dst=peer)
-            return False
+        self.linklayer.deliver_frame(
+            Frame(node, peer, group.group_id, size_bits, payload))
         return True
 
     def _on_frame(self, node: NodeId, frame: Frame) -> None:

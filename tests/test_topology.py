@@ -85,6 +85,12 @@ def test_duplicate_node_rejected():
         topo.add_node("A", Position(1, 1))
 
 
+@pytest.mark.parametrize("range_m", [0.0, -1.0, float("nan")])
+def test_non_positive_or_nan_range_rejected(range_m):
+    with pytest.raises(ValueError):
+        RadioProfile(range_m=range_m)
+
+
 coords = st.floats(min_value=-500, max_value=500, allow_nan=False,
                    allow_infinity=False)
 ranges = st.floats(min_value=1, max_value=600, allow_nan=False,

@@ -1,15 +1,14 @@
-"""Transfer plane: connection composition, transport registry, application
-send/receive and delivery reporting."""
+"""Transfer plane: connection composition, application send/receive and
+delivery reporting."""
 
 import pytest
 
 from wfdsim.engine import MS, SECOND, EventClass
-from wfdsim.linklayer import DeviceState, Frame, OutOfRangeError
+from wfdsim.linklayer import DeviceState, OutOfRangeError
 from wfdsim.routing import Packet, TrafficClass
 from wfdsim.summary import parse_trace_line
 from wfdsim.transfer import (ConnectionState, DeliveryOutcome,
-                             RoleConflictError, StubTransport, TransportId,
-                             UnsupportedTransportError)
+                             RoleConflictError)
 from wfdsim.simulation import Simulation
 from wfdsim.topology import Position
 
@@ -251,39 +250,3 @@ def test_delivered_path_consistent_with_trace(case):
             assert report.path[0] == report.src
             assert report.path[-1] == report.dst
 
-
-# ----------------------------------------------------------------------
-# transport registry
-
-def test_stub_transports_reject_sends():
-    stub = StubTransport(TransportId.ZIGBEE)
-    with pytest.raises(UnsupportedTransportError):
-        stub.send_frame(Frame("a", "b", 1, 10, None))
-    assert not stub.claims_link("a", "b")
-
-
-def test_removing_wifi_transport_fails_sends_and_nothing_else_breaks():
-    sim = pair_sim(duration_s=40)
-    sim.run_until(3 * SECOND)
-    sim.transfer.registry.remove(TransportId.WIFI_DIRECT_SIM)
-    with pytest.raises(UnsupportedTransportError):
-        sim.transfer.registry.for_link("a", "b")
-    seq = sim.transfer.app_send("a", "b", 100, TrafficClass.REAL_TIME)
-    sim.run_until(10 * SECOND)  # run on: no exceptions may surface
-    drops = [r for r in lines(sim, EventClass.DROP)
-             if r.details.get("reason") == "unsupported"]
-    assert drops, "the failed send should be traced as unsupported"
-    sim.run_until(35 * SECOND)  # the report timeout fires
-    assert sim.transfer.report(seq).outcome is DeliveryOutcome.LOST
-    sim.linklayer.check_consistency()
-
-
-def test_registry_restores_sends_when_transport_returns():
-    from wfdsim.transfer import WifiDirectSimTransport
-    sim = pair_sim()
-    sim.run_until(3 * SECOND)
-    sim.transfer.registry.remove(TransportId.WIFI_DIRECT_SIM)
-    sim.transfer.registry.register(WifiDirectSimTransport(sim.linklayer))
-    seq = sim.transfer.app_send("a", "b", 100, TrafficClass.REAL_TIME)
-    sim.run_until(4 * SECOND)
-    assert sim.transfer.report(seq).outcome is DeliveryOutcome.DELIVERED
