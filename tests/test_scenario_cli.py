@@ -1,6 +1,7 @@
 """Scenario parsing/validation, the bundled fixtures, and the CLI surface."""
 
 import copy
+import re
 import subprocess
 import sys
 
@@ -241,3 +242,62 @@ def test_console_entry_point_runs():
         capture_output=True, text=True, timeout=120)
     assert result.returncode == 0
     assert "outcome=DELIVERED" in result.stdout
+
+
+# ----------------------------------------------------------------------
+# every setting reaches the layer that reads it
+
+def test_every_setting_reaches_its_layer():
+    from wfdsim.engine import EventClass
+    from wfdsim.linklayer import BridgingPolicy, LinkConfig
+    from wfdsim.routing import RoutingConfig
+    from wfdsim.summary import parse_trace_line
+    from wfdsim.topology import RadioProfile
+
+    # each value differs from its default and from every other value
+    doc = variant(sim={
+        "seed": 5, "duration_ms": 7000, "advert_period_ms": 700,
+        "full_dump_every": 4, "ttl": 9, "scan_ms": 450, "find_min_ms": 110,
+        "find_max_ms": 290, "discovery_timeout_ms": 9000, "wps_ms": 180,
+        "keepalive_ms": 1100, "keepalive_miss_limit": 5,
+        "overlap_min_ms": 25, "bridging": "NONE"})
+    doc["nodes"][1].update(range_m=210.5, data_rate_bps=125_000_000,
+                           mac_latency_ms=3)
+    sim = Simulation(load_scenario(doc))
+
+    assert sim.engine.rng.seed == 5
+    assert sim.linklayer.config == LinkConfig(
+        scan_us=450_000, find_min_us=110_000, find_max_us=290_000,
+        discovery_timeout_us=9_000_000, overlap_min_us=25_000,
+        wps_us=180_000, keepalive_us=1_100_000, keepalive_miss_limit=5,
+        bridging=BridgingPolicy.NONE)
+    for node in ("a", "b"):
+        assert sim.agent(node).config == RoutingConfig(
+            advert_period_us=700_000, full_dump_every=4, default_ttl=9)
+    assert sim.topology.profile("a") == RadioProfile()
+    assert sim.topology.profile("b") == RadioProfile(
+        range_m=210.5, data_rate_bps=125_000_000,
+        per_hop_mac_latency_us=3_000)
+
+    sim.run()
+    assert sim.engine.now() == 7_000_000
+    adverts = [p for p in map(parse_trace_line, sim.trace.lines())
+               if p.event_class == EventClass.ADVERT.value
+               and p.details["action"] == "tx"]
+    assert adverts, "the pair must advertise once its group is up"
+    assert all(p.time_us % 700_000 == 0 for p in adverts)
+    assert all(p.time_us % (4 * 700_000) == 0 for p in adverts
+               if p.details["full"] == "1")
+
+
+def test_readme_scenario_example_loads_and_builds():
+    # the documented file format must stay loadable as written
+    import pathlib
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md")
+    blocks = re.findall(r"```yaml\n(.*?)```", readme.read_text(encoding="utf-8"),
+                        re.S)
+    assert len(blocks) == 1
+    scenario = load_scenario(yaml.safe_load(blocks[0]))
+    assert scenario.node_ids() == ["A", "B"]
+    sim = Simulation(scenario)
+    assert sim.topology.profile("B").data_rate_bps == 250_000_000
