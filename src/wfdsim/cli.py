@@ -34,12 +34,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write the trace to this file")
     run_p.add_argument("--summary", metavar="PATH",
                        help="write the summary to this file as well")
-    run_p.add_argument("--strict", action="store_true", default=True,
-                       help="reject unknown scenario fields (the default)")
 
     val_p = sub.add_parser("validate", help="check a scenario file")
     val_p.add_argument("scenario")
-    val_p.add_argument("--strict", action="store_true", default=True)
 
     rep_p = sub.add_parser("replay",
                            help="recompute the summary from a trace file")
@@ -53,7 +50,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "validate":
-            load_scenario(args.scenario, strict=args.strict)
+            load_scenario(args.scenario)
             print("ok")
             return 0
         if args.command == "replay":
@@ -70,7 +67,7 @@ def main(argv=None) -> int:
 
 
 def _cmd_run(args) -> int:
-    scenario = load_scenario(args.scenario, strict=args.strict)
+    scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario.sim.seed = args.seed
     if args.until is not None:

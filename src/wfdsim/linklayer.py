@@ -463,18 +463,17 @@ class LinkLayer:
                         peer=initiator, owner=owner)
         # WPS authentication modelled as a fixed delay, then addressing
         self.engine.call_later(self.config.wps_us, self._form_group,
-                               initiator, responder, owner, on_complete)
+                               initiator, responder, owner, on_complete,
+                               on_failed)
 
-    def _form_group(self, initiator, responder, owner, on_complete):
+    def _form_group(self, initiator, responder, owner, on_complete,
+                    on_failed):
+        if not self.topology.in_range(initiator, responder):
+            self._nego_failed(initiator, responder, "out_of_range", on_failed)
+            return
         client = responder if owner == initiator else initiator
         for node in (initiator, responder):
             self._negotiating.discard(node)
-        if not self.topology.in_range(initiator, responder):
-            for node in (initiator, responder):
-                self._states[node] = DeviceState.IDLE
-                self.engine.log(node, EventClass.NEGOTIATION, action="failed",
-                                reason="out_of_range")
-            return
         channel = self._channels[owner]
         if channel is None:
             channel = self.engine.node_rng(owner).choice(SOCIAL_CHANNELS)

@@ -304,7 +304,7 @@ def select_route(table: RoutingTable, dst: NodeId,
 
 @dataclass
 class RoutingConfig:
-    advert_period_us: int = 1_000_000
+    advert_period_us: int = 1_000_000  # Simulation schedules advert_tick at it
     full_dump_every: int = 10
     default_ttl: int = 16
 
@@ -489,7 +489,9 @@ class RoutingAgent:
             self.engine.log(self.node, EventClass.DROP, reason="no_route",
                             src=pkt.src, dst=pkt.dst, app_seq=pkt.app_seq)
             self.transfer.notify_drop(pkt.app_seq, "no_route")
-            self._send_route_error(pkt)
+            if pkt.src != self.node:
+                self._relay_route_error(
+                    RouteErrorNotice(pkt.src, pkt.dst, pkt.app_seq))
             return
         self.engine.log(self.node, EventClass.FORWARD, src=pkt.src,
                         dst=pkt.dst, app_seq=pkt.app_seq, ttl=pkt.ttl,
@@ -497,13 +499,6 @@ class RoutingAgent:
                         bits=pkt.payload_bits)
         pkt.path.append(self.node)
         self.transfer.send_data(self.node, pkt, next_hop)
-
-    def _send_route_error(self, pkt: Packet) -> None:
-        if pkt.src == self.node:
-            self.transfer.notify_route_error(self.node, pkt.app_seq, pkt.dst)
-            return
-        notice = RouteErrorNotice(pkt.src, pkt.dst, pkt.app_seq)
-        self._relay_route_error(notice)
 
     def _relay_route_error(self, notice: RouteErrorNotice) -> None:
         if notice.hops_left <= 0:
@@ -516,11 +511,8 @@ class RoutingAgent:
         self.transfer.send_control(self.node, next_hop, notice)
 
     def _on_route_error(self, notice: RouteErrorNotice) -> None:
-        if notice.orig_src == self.node:
-            self.transfer.notify_route_error(self.node, notice.app_seq,
-                                             notice.unreachable)
-            return
-        self._relay_route_error(notice)
+        if notice.orig_src != self.node:
+            self._relay_route_error(notice)
 
     # ------------------------------------------------------------------
     # dispatch from the transfer layer

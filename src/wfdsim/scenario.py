@@ -7,6 +7,13 @@ energy cost), ``script`` (timed connect/join/bridge directives), ``mobility``
 strict: unknown keys anywhere are an error, and every cross-reference is
 validated with a message naming the offending entry.
 
+Each setting lives in the config object of the layer that reads it, and
+that dataclass holds its default: ``LinkConfig`` (discovery, negotiation,
+keepalive and bridging), ``RoutingConfig`` (advert period, full dumps, TTL)
+and ``RadioProfile`` (range, data rate, MAC latency).  The scenario holds
+those objects; ``_SIM_FIELDS`` and ``_NODE_FIELDS`` map each file key to
+its object and field.
+
 Times in the file are milliseconds; everything becomes integer microseconds
 on load.  ``auto_chain: true`` replaces the script section with generated
 directives that pair the nodes in file order into two-node groups and then
@@ -15,7 +22,9 @@ bridges consecutive group owners.
 
 from __future__ import annotations
 
+import math
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -33,14 +42,6 @@ class ScenarioError(ValueError):
 
 _ID_RE = re.compile(r"^[A-Za-z0-9_\-]+$")
 
-_SIM_KEYS = {
-    "seed", "duration_ms", "advert_period_ms", "full_dump_every", "ttl",
-    "scan_ms", "find_min_ms", "find_max_ms", "discovery_timeout_ms",
-    "wps_ms", "keepalive_ms", "keepalive_miss_limit", "overlap_min_ms",
-    "bridging",
-}
-_NODE_KEYS = {"id", "pos", "range_m", "data_rate_bps", "mac_latency_ms",
-              "go_intent", "energy_cost", "channel"}
 _SCRIPT_KEYS = {"at_ms", "action", "from", "to"}
 _MOBILITY_KEYS = {"at_ms", "node", "pos"}
 _TRAFFIC_KEYS = {"at_ms", "src", "dst", "payload_bits", "class"}
@@ -49,46 +50,24 @@ _ACTIONS = ("connect", "join", "bridge")
 
 @dataclass
 class SimSettings:
+    """Run-wide settings: seed and duration, plus the link layer's and the
+    routing layer's own config objects, which hold every timing default."""
     seed: int = 1
     duration_us: int = 30 * SECOND
-    advert_period_us: int = 1 * SECOND
-    full_dump_every: int = 10
-    ttl: int = 16
-    scan_us: int = 500 * MS
-    find_min_us: int = 100 * MS
-    find_max_us: int = 300 * MS
-    discovery_timeout_us: int = 10 * SECOND
-    wps_us: int = 200 * MS
-    keepalive_us: int = 1 * SECOND
-    keepalive_miss_limit: int = 3
-    overlap_min_us: int = 20 * MS
-    bridging: BridgingPolicy = BridgingPolicy.GO_AS_LEGACY_CLIENT
-
-    def link_config(self) -> LinkConfig:
-        return LinkConfig(self.scan_us, self.find_min_us, self.find_max_us,
-                          self.discovery_timeout_us, self.overlap_min_us,
-                          self.wps_us, self.keepalive_us,
-                          self.keepalive_miss_limit, self.bridging)
-
-    def routing_config(self) -> RoutingConfig:
-        return RoutingConfig(self.advert_period_us, self.full_dump_every,
-                             self.ttl)
+    link: LinkConfig = field(default_factory=LinkConfig)
+    routing: RoutingConfig = field(default_factory=RoutingConfig)
 
 
 @dataclass
 class NodeSpec:
+    """One node: where it starts, its radio, and its link and routing
+    parameters.  Radio defaults live in ``RadioProfile``."""
     id: str
     pos: Position
-    range_m: float = 200.0
-    data_rate_bps: int = 250_000_000
-    mac_latency_us: int = 2 * MS
+    radio: RadioProfile = field(default_factory=RadioProfile)
     go_intent: int = 7
     energy_cost: float = 1.0
     channel: int | None = None
-
-    def radio_profile(self) -> RadioProfile:
-        return RadioProfile(self.range_m, self.data_rate_bps,
-                            self.mac_latency_us)
 
 
 @dataclass
@@ -135,7 +114,7 @@ def bundled_scenario_path(name: str):
     return resource
 
 
-def load_scenario(source, strict: bool = True) -> Scenario:
+def load_scenario(source) -> Scenario:
     """Load and validate a scenario from a path, a bundled name, or a
     pre-parsed mapping."""
     if isinstance(source, dict):
@@ -145,7 +124,7 @@ def load_scenario(source, strict: bool = True) -> Scenario:
         raw = yaml.safe_load(text)
     if not isinstance(raw, dict):
         raise ScenarioError("scenario document must be a mapping")
-    return _validate(raw, strict)
+    return _validate(raw)
 
 
 def _read(source) -> str:
@@ -164,30 +143,99 @@ def _require(cond: bool, message: str) -> None:
         raise ScenarioError(message)
 
 
-def _check_keys(mapping: dict, allowed: set, where: str, strict: bool) -> None:
-    if not strict:
-        return
-    unknown = set(mapping) - allowed
-    _require(not unknown,
-             f"unknown field(s) in {where}: {', '.join(sorted(unknown))}")
+def _check_keys(mapping: dict, allowed, where: str) -> None:
+    unknown = set(mapping) - set(allowed)
+    names = ", ".join(sorted(map(str, unknown)))
+    _require(not unknown, f"unknown field(s) in {where}: {names}")
 
 
-def _int_ms(mapping: dict, key: str, default_us: int, where: str) -> int:
-    if key not in mapping:
-        return default_us
-    value = mapping[key]
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _rule(test, must: str, convert=None):
+    """A parser for one file key: the value if test(value) holds, else a
+    ScenarioError that names the entry and the key."""
+    def parse(value, where: str, key: str):
+        _require(test(value), f"{where}: {key} must {must}")
+        return value if convert is None else convert(value)
+    return parse
+
+
+def _ms(value, where: str, key: str) -> int:
+    """A non-negative number of milliseconds, as integer microseconds."""
+    _require(_integer(value) or _number(value) and math.isfinite(value * MS),
              f"{where}: {key} must be a number of milliseconds")
     us = int(round(value * MS))
     _require(us >= 0, f"{where}: {key} must be non-negative")
     return us
 
 
-def _validate(raw: dict, strict: bool) -> Scenario:
+def _bridging(value, where: str, key: str) -> BridgingPolicy:
+    try:
+        return BridgingPolicy(value)
+    except ValueError:
+        raise ScenarioError(f"{where}: {key} must be one of "
+                            f"{[p.value for p in BridgingPolicy]}")
+
+
+_POSITIVE_INT = _rule(lambda v: _integer(v) and v > 0, "be a positive integer")
+
+# file key -> (object, field, parser).  "sim" is SimSettings itself; keys
+# are parsed in this order, so the first of several errors is the one raised.
+_SIM_FIELDS = {
+    "seed": ("sim", "seed", _rule(_integer, "be an integer")),
+    "duration_ms": ("sim", "duration_us", _ms),
+    "advert_period_ms": ("routing", "advert_period_us", _ms),
+    "scan_ms": ("link", "scan_us", _ms),
+    "find_min_ms": ("link", "find_min_us", _ms),
+    "find_max_ms": ("link", "find_max_us", _ms),
+    "discovery_timeout_ms": ("link", "discovery_timeout_us", _ms),
+    "wps_ms": ("link", "wps_us", _ms),
+    "keepalive_ms": ("link", "keepalive_us", _ms),
+    "overlap_min_ms": ("link", "overlap_min_us", _ms),
+    "full_dump_every": ("routing", "full_dump_every", _POSITIVE_INT),
+    "ttl": ("routing", "default_ttl", _POSITIVE_INT),
+    "keepalive_miss_limit": ("link", "keepalive_miss_limit", _POSITIVE_INT),
+    "bridging": ("link", "bridging", _bridging),
+}
+# "node" is NodeSpec itself; id and pos are parsed first, by hand
+_NODE_FIELDS = {
+    "range_m": ("radio", "range_m",
+                _rule(lambda v: _number(v) and v > 0, "be positive", float)),
+    "data_rate_bps": ("radio", "data_rate_bps", _POSITIVE_INT),
+    "mac_latency_ms": ("radio", "per_hop_mac_latency_us", _ms),
+    "go_intent": ("node", "go_intent",
+                  _rule(lambda v: _integer(v) and 0 <= v <= 15,
+                        "be an integer in 0..15")),
+    "energy_cost": ("node", "energy_cost",
+                    _rule(lambda v: _number(v) and v >= 0, "be non-negative",
+                          float)),
+    "channel": ("node", "channel",
+                _rule(lambda v: v is None or not isinstance(v, bool)
+                      and v in SOCIAL_CHANNELS,
+                      f"be one of {SOCIAL_CHANNELS}")),
+}
+
+
+def _parse_fields(raw: dict, table: dict, where: str) -> dict[str, dict]:
+    """{object: {field: parsed value}} for the table's keys present in raw."""
+    values: dict[str, dict] = defaultdict(dict)
+    for key, (obj, attr, parse) in table.items():
+        if key in raw:
+            values[obj][attr] = parse(raw[key], where, key)
+    return values
+
+
+def _validate(raw: dict) -> Scenario:
     _check_keys(raw, {"sim", "nodes", "script", "mobility", "traffic",
-                      "auto_chain"}, "scenario", strict)
-    sim = _validate_sim(raw.get("sim") or {}, strict)
-    nodes = _validate_nodes(raw.get("nodes"), strict)
+                      "auto_chain"}, "scenario")
+    sim = _validate_sim(raw.get("sim") or {})
+    nodes = _validate_nodes(raw.get("nodes"))
     ids = {n.id for n in nodes}
 
     auto_chain = raw.get("auto_chain", False)
@@ -197,51 +245,21 @@ def _validate(raw: dict, strict: bool) -> Scenario:
                  "auto_chain and an explicit script are mutually exclusive")
         script = _generate_chain_script(nodes)
     else:
-        script = _validate_script(raw.get("script") or [], ids, sim, strict)
+        script = _validate_script(raw.get("script") or [], ids, sim)
 
-    mobility = _validate_mobility(raw.get("mobility") or [], ids, sim, strict)
-    traffic = _validate_traffic(raw.get("traffic") or [], ids, sim, strict)
+    mobility = _validate_mobility(raw.get("mobility") or [], ids, sim)
+    traffic = _validate_traffic(raw.get("traffic") or [], ids, sim)
     return Scenario(sim, nodes, script, mobility, traffic)
 
 
-def _validate_sim(raw: dict, strict: bool) -> SimSettings:
+def _validate_sim(raw: dict) -> SimSettings:
     _require(isinstance(raw, dict), "sim section must be a mapping")
-    _check_keys(raw, _SIM_KEYS, "sim", strict)
-    defaults = SimSettings()
-    seed = raw.get("seed", defaults.seed)
-    _require(isinstance(seed, int) and not isinstance(seed, bool),
-             "sim: seed must be an integer")
-    settings = SimSettings(
-        seed=seed,
-        duration_us=_int_ms(raw, "duration_ms", defaults.duration_us, "sim"),
-        advert_period_us=_int_ms(raw, "advert_period_ms",
-                                 defaults.advert_period_us, "sim"),
-        scan_us=_int_ms(raw, "scan_ms", defaults.scan_us, "sim"),
-        find_min_us=_int_ms(raw, "find_min_ms", defaults.find_min_us, "sim"),
-        find_max_us=_int_ms(raw, "find_max_ms", defaults.find_max_us, "sim"),
-        discovery_timeout_us=_int_ms(raw, "discovery_timeout_ms",
-                                     defaults.discovery_timeout_us, "sim"),
-        wps_us=_int_ms(raw, "wps_ms", defaults.wps_us, "sim"),
-        keepalive_us=_int_ms(raw, "keepalive_ms", defaults.keepalive_us,
-                             "sim"),
-        overlap_min_us=_int_ms(raw, "overlap_min_ms",
-                               defaults.overlap_min_us, "sim"),
-    )
-    for key, attr in (("full_dump_every", "full_dump_every"), ("ttl", "ttl"),
-                      ("keepalive_miss_limit", "keepalive_miss_limit")):
-        if key in raw:
-            value = raw[key]
-            _require(isinstance(value, int) and not isinstance(value, bool)
-                     and value > 0, f"sim: {key} must be a positive integer")
-            setattr(settings, attr, value)
-    if "bridging" in raw:
-        try:
-            settings.bridging = BridgingPolicy(raw["bridging"])
-        except ValueError:
-            raise ScenarioError(
-                f"sim: bridging must be one of "
-                f"{[p.value for p in BridgingPolicy]}")
-    _require(settings.find_min_us <= settings.find_max_us,
+    _check_keys(raw, _SIM_FIELDS, "sim")
+    values = _parse_fields(raw, _SIM_FIELDS, "sim")
+    settings = SimSettings(link=LinkConfig(**values["link"]),
+                           routing=RoutingConfig(**values["routing"]),
+                           **values["sim"])
+    _require(settings.link.find_min_us <= settings.link.find_max_us,
              "sim: find_min_ms must not exceed find_max_ms")
     _require(settings.duration_us > 0, "sim: duration_ms must be positive")
     return settings
@@ -249,13 +267,15 @@ def _validate_sim(raw: dict, strict: bool) -> SimSettings:
 
 def _validate_pos(value, where: str) -> Position:
     _require(isinstance(value, (list, tuple)) and len(value) == 2
-             and all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                     for c in value),
+             and all(_number(c) for c in value),
              f"{where}: pos must be [x, y] in meters")
-    return Position(float(value[0]), float(value[1]))
+    try:
+        return Position(float(value[0]), float(value[1]))
+    except (ValueError, OverflowError):
+        raise ScenarioError(f"{where}: pos must be finite")
 
 
-def _validate_nodes(raw, strict: bool) -> list[NodeSpec]:
+def _validate_nodes(raw) -> list[NodeSpec]:
     _require(isinstance(raw, list) and raw,
              "scenario needs a non-empty nodes list")
     nodes: list[NodeSpec] = []
@@ -263,58 +283,34 @@ def _validate_nodes(raw, strict: bool) -> list[NodeSpec]:
     for i, entry in enumerate(raw):
         where = f"nodes[{i}]"
         _require(isinstance(entry, dict), f"{where} must be a mapping")
-        _check_keys(entry, _NODE_KEYS, where, strict)
+        _check_keys(entry, {"id", "pos", *_NODE_FIELDS}, where)
         node_id = entry.get("id")
         _require(isinstance(node_id, str) and _ID_RE.match(node_id),
                  f"{where}: id must match {_ID_RE.pattern}")
         _require(node_id not in seen, f"duplicate node id {node_id!r}")
         seen.add(node_id)
-        spec = NodeSpec(id=node_id, pos=_validate_pos(entry.get("pos"), where))
-        if "range_m" in entry:
-            _require(isinstance(entry["range_m"], (int, float))
-                     and entry["range_m"] > 0,
-                     f"{where}: range_m must be positive")
-            spec.range_m = float(entry["range_m"])
-        if "data_rate_bps" in entry:
-            _require(isinstance(entry["data_rate_bps"], int)
-                     and entry["data_rate_bps"] > 0,
-                     f"{where}: data_rate_bps must be a positive integer")
-            spec.data_rate_bps = entry["data_rate_bps"]
-        spec.mac_latency_us = _int_ms(entry, "mac_latency_ms",
-                                      spec.mac_latency_us, where)
-        if "go_intent" in entry:
-            intent = entry["go_intent"]
-            _require(isinstance(intent, int) and 0 <= intent <= 15,
-                     f"{where}: go_intent must be an integer in 0..15")
-            spec.go_intent = intent
-        if "energy_cost" in entry:
-            cost = entry["energy_cost"]
-            _require(isinstance(cost, (int, float)) and cost >= 0,
-                     f"{where}: energy_cost must be non-negative")
-            spec.energy_cost = float(cost)
-        if "channel" in entry and entry["channel"] is not None:
-            _require(entry["channel"] in SOCIAL_CHANNELS,
-                     f"{where}: channel must be one of {SOCIAL_CHANNELS}")
-            spec.channel = entry["channel"]
-        nodes.append(spec)
+        pos = _validate_pos(entry.get("pos"), where)
+        values = _parse_fields(entry, _NODE_FIELDS, where)
+        nodes.append(NodeSpec(node_id, pos, RadioProfile(**values["radio"]),
+                              **values["node"]))
     return nodes
 
 
 def _validate_at(entry: dict, sim: SimSettings, where: str) -> int:
-    at_us = _int_ms(entry, "at_ms", -1, where)
+    at_us = _ms(entry["at_ms"], where, "at_ms") if "at_ms" in entry else -1
     _require(0 <= at_us <= sim.duration_us,
              f"{where}: at_ms must lie within the simulation duration")
     return at_us
 
 
-def _validate_script(raw, ids: set[str], sim: SimSettings,
-                     strict: bool) -> list[ScriptDirective]:
+def _validate_script(raw, ids: set[str],
+                     sim: SimSettings) -> list[ScriptDirective]:
     _require(isinstance(raw, list), "script section must be a list")
     script = []
     for i, entry in enumerate(raw):
         where = f"script[{i}]"
         _require(isinstance(entry, dict), f"{where} must be a mapping")
-        _check_keys(entry, _SCRIPT_KEYS, where, strict)
+        _check_keys(entry, _SCRIPT_KEYS, where)
         action = entry.get("action")
         _require(action in _ACTIONS,
                  f"{where}: action must be one of {_ACTIONS}")
@@ -328,14 +324,14 @@ def _validate_script(raw, ids: set[str], sim: SimSettings,
     return script
 
 
-def _validate_mobility(raw, ids: set[str], sim: SimSettings,
-                       strict: bool) -> list[MobilityStep]:
+def _validate_mobility(raw, ids: set[str],
+                       sim: SimSettings) -> list[MobilityStep]:
     _require(isinstance(raw, list), "mobility section must be a list")
     steps = []
     for i, entry in enumerate(raw):
         where = f"mobility[{i}]"
         _require(isinstance(entry, dict), f"{where} must be a mapping")
-        _check_keys(entry, _MOBILITY_KEYS, where, strict)
+        _check_keys(entry, _MOBILITY_KEYS, where)
         node = entry.get("node")
         _require(node in ids, f"{where}: node references unknown node {node!r}")
         steps.append(MobilityStep(_validate_at(entry, sim, where), node,
@@ -343,14 +339,14 @@ def _validate_mobility(raw, ids: set[str], sim: SimSettings,
     return steps
 
 
-def _validate_traffic(raw, ids: set[str], sim: SimSettings,
-                      strict: bool) -> list[TrafficSpec]:
+def _validate_traffic(raw, ids: set[str],
+                      sim: SimSettings) -> list[TrafficSpec]:
     _require(isinstance(raw, list), "traffic section must be a list")
     flows = []
     for i, entry in enumerate(raw):
         where = f"traffic[{i}]"
         _require(isinstance(entry, dict), f"{where} must be a mapping")
-        _check_keys(entry, _TRAFFIC_KEYS, where, strict)
+        _check_keys(entry, _TRAFFIC_KEYS, where)
         for label in ("src", "dst"):
             _require(entry.get(label) in ids,
                      f"{where}: {label} references unknown node "

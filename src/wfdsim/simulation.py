@@ -32,22 +32,21 @@ class Simulation:
         self.engine = Engine(sim.seed)
         self.topology = Topology()
         for spec in scenario.nodes:
-            self.topology.add_node(spec.id, spec.pos, spec.radio_profile())
-        self.linklayer = LinkLayer(self.engine, self.topology,
-                                   sim.link_config())
+            self.topology.add_node(spec.id, spec.pos, spec.radio)
+        self.linklayer = LinkLayer(self.engine, self.topology, sim.link)
         self.transfer = TransferLayer(self.engine, self.linklayer)
         self.agents: dict[NodeId, RoutingAgent] = {}
-        routing_config = sim.routing_config()
         for spec in scenario.nodes:
             self.linklayer.register_node(spec.id, spec.go_intent, spec.channel)
             agent = RoutingAgent(spec.id, self.engine, spec.energy_cost,
-                                 routing_config)
+                                 sim.routing)
             self.agents[spec.id] = agent
             self.transfer.attach_agent(agent)
 
+        self._advert_period_us = sim.routing.advert_period_us
         call_later = self.engine.call_later
         for node in sorted(self.agents):
-            call_later(sim.advert_period_us, self._advert_tick, node)
+            call_later(self._advert_period_us, self._advert_tick, node)
         for directive in scenario.script:
             call_later(directive.at_us, self._run_directive, directive)
         for step in scenario.mobility:
@@ -58,15 +57,15 @@ class Simulation:
                        flow.payload_bits, flow.traffic_class)
 
     @classmethod
-    def from_source(cls, source, strict: bool = True) -> "Simulation":
-        return cls(load_scenario(source, strict=strict))
+    def from_source(cls, source) -> "Simulation":
+        return cls(load_scenario(source))
 
     # ------------------------------------------------------------------
     # scheduled work
 
     def _advert_tick(self, node: NodeId) -> None:
-        self.engine.call_later(self.scenario.sim.advert_period_us,
-                               self._advert_tick, node)
+        self.engine.call_later(self._advert_period_us, self._advert_tick,
+                               node)
         self.agents[node].advert_tick()
 
     def _run_directive(self, directive: ScriptDirective) -> None:

@@ -353,10 +353,6 @@ class TransferLayer:
                    "lost": DeliveryOutcome.LOST}[reason]
         self._finalize(app_seq, outcome)
 
-    def notify_route_error(self, node: NodeId, app_seq: int,
-                           unreachable: NodeId) -> None:
-        self._finalize(app_seq, DeliveryOutcome.NO_ROUTE)
-
     def _finalize(self, app_seq: int, outcome: DeliveryOutcome,
                   path: list[NodeId] | None = None) -> None:
         """Record the flow's one report; path is given for deliveries."""

@@ -66,6 +66,7 @@ def make_sim(nodes, script=(), traffic=(), mobility=(), seed=1,
     nodes: list of (id, x, y, go_intent) or (id, x, y, go_intent, energy_cost)
     script: list of (at_s, action, from, to)
     traffic: list of (at_s, src, dst, payload_bits, TrafficClass)
+    sim_kwargs: other SimSettings fields, e.g. routing=RoutingConfig(...)
     """
     specs = []
     for entry in nodes:

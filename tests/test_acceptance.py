@@ -25,7 +25,7 @@ import pytest
 
 from wfdsim.engine import MS, SECOND, EventClass, RandomSource, uniform_duration
 from wfdsim.linklayer import DeviceState, ForbiddenByRoleError, Frame
-from wfdsim.routing import TrafficClass, select_route
+from wfdsim.routing import RoutingConfig, TrafficClass, select_route
 from wfdsim.scenario import (NodeSpec, Scenario, ScriptDirective, SimSettings,
                              load_scenario)
 from wfdsim.simulation import Simulation
@@ -219,7 +219,7 @@ def advert_window(sim, t_lo, t_hi):
 def test_criterion_5_incremental_broadcast():
     sim = Simulation.from_source("chain4")
     summary = sim.run()
-    period = sim.scenario.sim.advert_period_us
+    period = sim.scenario.sim.routing.advert_period_us
     quiet_from = summary.convergence_us + period
     window = advert_window(sim, quiet_from, sim.scenario.sim.duration_us)
     assert window, "expected at least the periodic full dump in the window"
@@ -300,7 +300,7 @@ def random_group_topology(trial: int):
              for idx, name in enumerate(names)]
     scenario = Scenario(
         sim=SimSettings(seed=trial, duration_us=14 * SECOND,
-                        full_dump_every=5),
+                        routing=RoutingConfig(full_dump_every=5)),
         nodes=specs, script=script)
     return scenario, costs
 

@@ -185,6 +185,23 @@ def test_negotiation_message_timing():
     assert group_formed.time_us - times["confirm"] == 200 * MS
 
 
+def test_pair_drifting_apart_during_wps_fails_through_on_failed():
+    engine, topo, ll = make_link_world({"a": (0, 0), "b": (100, 0)},
+                                       intents={"a": 7, "b": 3})
+    failed, formed = [], []
+    ll.record_discovery("a", "b")
+    ll.negotiate_go("a", "b", on_complete=formed.append,
+                    on_failed=lambda i, r, why: failed.append((i, r, why)))
+    engine.run_until(100 * MS)  # confirmed at 6 ms, WPS ends at 206 ms
+    topo.apply_move("b", Position(1000, 0))
+    engine.run_until(2 * SECOND)
+    assert (failed, formed) == ([("a", "b", "out_of_range")], [])
+    assert ll.state("a") is DeviceState.IDLE
+    assert ll.state("b") is DeviceState.IDLE
+    assert not ll.groups
+    ll.check_consistency()
+
+
 def test_go_intent_range_validated():
     with pytest.raises(ValueError):
         GoNegotiationParams(intent=16, tie_breaker=0)

@@ -12,8 +12,8 @@ from hypothesis import given, strategies as st
 from wfdsim.engine import SECOND, Engine, EventClass
 from wfdsim.routing import (INFINITE_HOPS, AdvertEntry, LinkMetrics,
                             NoRouteError, Packet, RoutingAgent, RoutingConfig,
-                            RoutingEntry, RoutingTable, TableAdvert,
-                            TrafficClass, _consider, merge_advert,
+                            RouteErrorNotice, RoutingEntry, RoutingTable,
+                            TableAdvert, TrafficClass, _consider, merge_advert,
                             select_route)
 from wfdsim.summary import parse_trace_line
 
@@ -329,7 +329,6 @@ class FakeTransfer:
         self.sent = []
         self.delivered = []
         self.drops = []
-        self.route_errors = []
         self.controls = []
 
     def link_peers(self, node):
@@ -352,9 +351,6 @@ class FakeTransfer:
 
     def notify_drop(self, app_seq, reason):
         self.drops.append((app_seq, reason))
-
-    def notify_route_error(self, node, app_seq, unreachable):
-        self.route_errors.append((node, app_seq, unreachable))
 
 
 def agent_with(table_entries, peers=("b",)):
@@ -400,7 +396,7 @@ def test_forward_without_route_drops_and_reports_at_source():
     pkt = Packet("a", "d", 1, 16, TrafficClass.REAL_TIME, 100)
     agent.forward(pkt)
     assert agent.transfer.drops == [(1, "no_route")]
-    assert agent.transfer.route_errors == [("a", 1, "d")]
+    assert agent.transfer.controls == []  # no notice to itself
 
 
 def test_forward_without_route_relays_error_toward_remote_source():
@@ -412,6 +408,16 @@ def test_forward_without_route_relays_error_toward_remote_source():
     (node, peer, msg), = [c for c in agent.transfer.controls]
     assert (node, peer) == ("a", "b")
     assert msg.orig_src == "s" and msg.app_seq == 9
+
+
+def test_route_error_notice_stops_at_its_source():
+    engine, agent = agent_with({"s": [
+        RoutingEntry("s", "b", 1, 2, 2000, 1.0, 0)]})
+    agent.handle_control(RouteErrorNotice("a", "d", 3), 0)
+    assert agent.transfer.controls == []
+    agent.handle_control(RouteErrorNotice("s", "d", 4), 0)
+    (node, peer, msg), = agent.transfer.controls
+    assert (node, peer, msg.app_seq) == ("a", "b", 4)
 
 
 # ----------------------------------------------------------------------
@@ -579,7 +585,7 @@ def test_diamond_classes_diverge_on_equal_hop_alternates():
                 (0, "connect", "x3", "o3"), (0, "connect", "x4", "o4"),
                 (4, "bridge", "o1", "o2"), (4.2, "bridge", "o1", "o3"),
                 (4.4, "bridge", "o2", "o4"), (4.6, "bridge", "o3", "o4")],
-        duration_s=14, full_dump_every=5)
+        duration_s=14, routing=RoutingConfig(full_dump_every=5))
     sim.run_until(14 * SECOND)
     candidates = [e for e in sim.table("o1").candidates("o4") if e.valid]
     assert {e.next_hop for e in candidates} == {"o2", "o3"}

@@ -77,7 +77,6 @@ def test_unknown_field_rejected_in_strict_mode():
     doc["nodes"][0]["frequency"] = 5
     with pytest.raises(ScenarioError, match="frequency"):
         load_scenario(doc)
-    load_scenario(doc, strict=False)  # lenient mode tolerates it
 
 
 def test_directive_time_outside_duration_rejected():
@@ -115,12 +114,78 @@ def test_intent_out_of_range_rejected():
         load_scenario(doc)
 
 
+def _set(doc, path, value):
+    *parents, last = path
+    target = doc
+    for step in parents:
+        target = target[step]
+    target[last] = value
+    return doc
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("sim", "wps_ms"), INF, "sim: wps_ms must be a number of milliseconds"),
+    (("sim", "wps_ms"), NAN, "sim: wps_ms must be a number of milliseconds"),
+    (("sim", "duration_ms"), 1e306,  # finite, but not in microseconds
+     "sim: duration_ms must be a number of milliseconds"),
+    (("sim", "keepalive_ms"), True,
+     "sim: keepalive_ms must be a number of milliseconds"),
+    (("nodes", 0, "pos"), [INF, 0], "nodes[0]: pos must be finite"),
+    (("nodes", 0, "pos"), [0, NAN], "nodes[0]: pos must be finite"),
+    (("nodes", 0, "mac_latency_ms"), -INF,
+     "nodes[0]: mac_latency_ms must be a number of milliseconds"),
+    (("nodes", 0, "go_intent"), True,
+     "nodes[0]: go_intent must be an integer in 0..15"),
+    (("nodes", 1, "data_rate_bps"), True,
+     "nodes[1]: data_rate_bps must be a positive integer"),
+    (("nodes", 1, "range_m"), True, "nodes[1]: range_m must be positive"),
+    (("nodes", 1, "energy_cost"), True,
+     "nodes[1]: energy_cost must be non-negative"),
+    (("nodes", 1, "channel"), True, "nodes[1]: channel must be one of"),
+    (("script", 0, "at_ms"), NAN,
+     "script[0]: at_ms must be a number of milliseconds"),
+    (("mobility",), [{"at_ms": 10, "node": "a", "pos": [INF, INF]}],
+     "mobility[0]: pos must be finite"),
+    (("sim", 7), 1, "unknown field(s) in sim: 7"),
+])
+def test_non_finite_and_boolean_inputs_rejected(path, value, message):
+    doc = _set(variant(), path, value)
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        load_scenario(doc)
+
+
+@pytest.mark.parametrize("sim, node, message", [
+    ("{wps_ms: .inf}", "{}", "sim: wps_ms must be a number of milliseconds"),
+    ("{wps_ms: .nan}", "{}", "sim: wps_ms must be a number of milliseconds"),
+    ("{}", "{pos: [.inf, 0]}", "nodes[1]: pos must be finite"),
+    ("{}", "{go_intent: true}",
+     "nodes[1]: go_intent must be an integer in 0..15"),
+    ("{}", "{range_m: true}", "nodes[1]: range_m must be positive"),
+    ("{}", "{data_rate_bps: true}",
+     "nodes[1]: data_rate_bps must be a positive integer"),
+])
+def test_cli_validate_rejects_bad_numbers_with_one_error_line(
+        tmp_path, sim, node, message):
+    bad = tmp_path / "bad.yaml"
+    node_b = {"id": "b", "pos": [1, 0], **yaml.safe_load(node)}
+    bad.write_text(f"sim: {sim}\nnodes:\n  - {{id: a, pos: [0, 0]}}\n"
+                   f"  - {yaml.safe_dump(node_b, default_flow_style=True)}")
+    result = subprocess.run(
+        [sys.executable, "-m", "wfdsim.cli", "validate", str(bad)],
+        capture_output=True, text=True, timeout=120)
+    assert "Traceback" not in result.stderr
+    assert (result.returncode, result.stderr) == (1, f"error: {message}\n")
+
+
 def test_bridging_policy_parsed():
     doc = variant()
     doc["sim"]["bridging"] = "NONE"
     scenario = load_scenario(doc)
     from wfdsim.linklayer import BridgingPolicy
-    assert scenario.sim.bridging is BridgingPolicy.NONE
+    assert scenario.sim.link.bridging is BridgingPolicy.NONE
 
 
 # ----------------------------------------------------------------------

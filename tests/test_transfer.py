@@ -117,6 +117,23 @@ def test_stale_discovery_of_departed_peer_fails_the_connect(seed):
     assert second.state is ConnectionState.CLOSED
 
 
+def test_connect_fails_when_the_pair_drifts_apart_during_wps():
+    sim = pair_sim()
+    while not any(p.details["action"] == "confirm"
+                  for p in lines(sim, EventClass.NEGOTIATION)):
+        sim.run_until(sim.engine.now() + 1 * MS)
+    sim.topology.apply_move("b", Position(5000, 0))  # WPS takes 200 ms
+    sim.run_until(3 * SECOND)
+    conn = sim.transfer.connections[0]
+    assert (conn.state, conn.reason) == (ConnectionState.CLOSED,
+                                         "out_of_range")
+    failed = [p for p in lines(sim, EventClass.CONNECT)
+              if p.details["action"] == "failed"]
+    assert [(p.node, p.details["reason"]) for p in failed] == \
+        [("a", "out_of_range")]
+    sim.linklayer.check_consistency()
+
+
 # ----------------------------------------------------------------------
 # frame arithmetic
 
