@@ -4,8 +4,9 @@ A scenario is a YAML document with five sections: ``sim`` (seed, duration
 and timing knobs), ``nodes`` (positions, radio profile, GO intent, relay
 energy cost), ``script`` (timed connect/join/bridge directives), ``mobility``
 (timed waypoint moves) and ``traffic`` (timed application sends).  Parsing is
-strict: unknown keys anywhere are an error, and every cross-reference is
-validated with a message naming the offending entry.
+strict: unknown keys anywhere are an error, numbers must be finite and may
+not be booleans, and every cross-reference is validated with a message
+naming the offending entry.
 
 Each setting lives in the config object of the layer that reads it, and
 that dataclass holds its default: ``LinkConfig`` (discovery, negotiation,
@@ -352,8 +353,8 @@ def _validate_traffic(raw, ids: set[str],
                      f"{where}: {label} references unknown node "
                      f"{entry.get(label)!r}")
         bits = entry.get("payload_bits", 0)
-        _require(isinstance(bits, int) and not isinstance(bits, bool)
-                 and bits >= 0, f"{where}: payload_bits must be >= 0")
+        _require(_integer(bits) and bits >= 0,
+                 f"{where}: payload_bits must be >= 0")
         cls_name = entry.get("class", "REAL_TIME")
         try:
             cls = TrafficClass(cls_name)
