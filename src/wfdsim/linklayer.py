@@ -9,13 +9,18 @@ client cannot belong to two groups.  Inter-group connectivity exists only
 through the bridging policy, where a group owner additionally attaches to
 a foreign group as a legacy client and may then exchange frames with that
 group's owner.
+
+The layer reports upward to one object, `LinkEvents` (`LinkLayer.upper`):
+frame arrivals, frames lost at arrival, and links that come up or go down.
+The transfer layer is that object in a simulation; tests substitute a
+recorder.  Discovery and negotiation report through the continuations
+passed to each call instead, because each call belongs to one connection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
 
 from .engine import MS, SECOND, Engine, EventClass, NodeId, uniform_duration
 from .topology import Topology
@@ -128,6 +133,25 @@ class Frame:
             raise ValueError("size_bits must be non-negative")
 
 
+class LinkEvents:
+    """The upper layer the link layer reports to.  Every method does
+    nothing here; the transfer layer overrides them all."""
+
+    def _on_frame(self, node: NodeId, frame: Frame) -> None:
+        """`frame` arrived at `node`."""
+
+    def frame_lost(self, src: NodeId, dst: NodeId, frame: Frame) -> None:
+        """`frame` from `src` did not reach `dst`: out of range, or no
+        longer role-legal, when it arrived."""
+
+    def link_up(self, owner: NodeId, member: NodeId) -> None:
+        """`member` joined or bridged into `owner`'s group."""
+
+    def link_down(self, owner: NodeId, member: NodeId) -> None:
+        """`member` no longer shares `owner`'s group: it left or was
+        evicted, or the group dissolved."""
+
+
 class _DiscoverySession:
     __slots__ = ("node", "target", "active", "listen_channel", "leg_state",
                  "leg_channel", "leg_start", "leg_end", "handles", "on_found",
@@ -163,15 +187,11 @@ class LinkLayer:
         self._bridges: dict[NodeId, set[int]] = {}     # GO -> foreign groups
         self._sessions: dict[NodeId, _DiscoverySession] = {}
         self._discovered: dict[NodeId, set[NodeId]] = {}
-        self._negotiating: set[NodeId] = set()
         self._next_group_id = 1
-        self._receivers: dict[NodeId, Callable[[Frame], None]] = {}
-        self._lost_hooks: list[Callable[[NodeId, NodeId, Frame], None]] = []
-        self._link_up_hooks: list[Callable[[NodeId, NodeId], None]] = []
-        self._link_down_hooks: list[Callable[[NodeId, NodeId], None]] = []
+        self.upper: LinkEvents = LinkEvents()
 
     # ------------------------------------------------------------------
-    # registration and wiring
+    # registration
 
     def register_node(self, node: NodeId, go_intent: int = 7,
                       channel: int | None = None) -> None:
@@ -185,18 +205,6 @@ class LinkLayer:
         self._intents[node] = go_intent
         self._channels[node] = channel
         self._discovered[node] = set()
-
-    def set_receiver(self, node: NodeId, callback: Callable[[Frame], None]) -> None:
-        self._receivers[node] = callback
-
-    def on_frame_lost(self, hook: Callable[[NodeId, NodeId, Frame], None]) -> None:
-        self._lost_hooks.append(hook)
-
-    def on_link_up(self, hook: Callable[[NodeId, NodeId], None]) -> None:
-        self._link_up_hooks.append(hook)
-
-    def on_link_down(self, hook: Callable[[NodeId, NodeId], None]) -> None:
-        self._link_down_hooks.append(hook)
 
     # ------------------------------------------------------------------
     # queries
@@ -392,7 +400,7 @@ class LinkLayer:
         for node in (initiator, responder):
             if self.in_group(node):
                 raise InvalidStateError(f"{node} is already in a group")
-            if node in self._negotiating:
+            if self._states[node] is DeviceState.NEGOTIATING:
                 raise InvalidStateError(f"{node} is already negotiating")
         if not self.topology.in_range(initiator, responder):
             raise OutOfRangeError(f"{initiator} and {responder} out of range")
@@ -402,7 +410,6 @@ class LinkLayer:
             if session is not None:
                 self._end_session(session)
             self._states[node] = DeviceState.NEGOTIATING
-            self._negotiating.add(node)
 
         params = GoNegotiationParams(
             intent=self._intents[initiator],
@@ -414,7 +421,6 @@ class LinkLayer:
     def _nego_failed(self, initiator: NodeId, responder: NodeId, reason: str,
                      on_failed) -> None:
         for node in (initiator, responder):
-            self._negotiating.discard(node)
             self._states[node] = DeviceState.IDLE
             self.engine.log(node, EventClass.NEGOTIATION, action="failed",
                             reason=reason)
@@ -472,8 +478,6 @@ class LinkLayer:
             self._nego_failed(initiator, responder, "out_of_range", on_failed)
             return
         client = responder if owner == initiator else initiator
-        for node in (initiator, responder):
-            self._negotiating.discard(node)
         channel = self._channels[owner]
         if channel is None:
             channel = self.engine.node_rng(owner).choice(SOCIAL_CHANNELS)
@@ -507,14 +511,14 @@ class LinkLayer:
             action = "bridge"
         self.engine.log(node, EventClass.GROUP, action=action,
                         group=group.group_id, owner=group.owner, addr=addr)
-        self._fire_link_up(group.owner, node)
+        self.upper.link_up(group.owner, node)
         return addr
 
     def join_group(self, client: NodeId, group: Group) -> int:
         if self.in_group(client):
             raise ForbiddenByRoleError(
                 f"{client} already belongs to a group and cannot join another")
-        if client in self._negotiating:
+        if self._states[client] is DeviceState.NEGOTIATING:
             raise InvalidStateError(f"{client} is negotiating")
         if group.group_id not in self.groups:
             raise NotInGroupError(f"group {group.group_id} no longer exists")
@@ -559,7 +563,7 @@ class LinkLayer:
             return
         for member in sorted(group.members()):
             self._detach(group, member)
-            self._fire_link_down(group.owner, member)
+            self.upper.link_down(group.owner, member)
         del self.groups[group.group_id]
         self._owns.pop(group.owner, None)
         if self._states[group.owner] is DeviceState.GROUP_OWNER:
@@ -582,7 +586,7 @@ class LinkLayer:
         self._detach(group, member)
         self.engine.log(member, EventClass.GROUP, action=traced_as,
                         group=group.group_id)
-        self._fire_link_down(group.owner, member)
+        self.upper.link_down(group.owner, member)
 
     # ------------------------------------------------------------------
     # keepalive and eviction
@@ -604,7 +608,7 @@ class LinkLayer:
                 self._detach(group, member)
                 self.engine.log(group.owner, EventClass.GROUP, action="evict",
                                 peer=member, group=group_id)
-                self._fire_link_down(group.owner, member)
+                self.upper.link_down(group.owner, member)
         if not group.members():
             self.dissolve_group(group, reason="empty")
             return
@@ -616,7 +620,7 @@ class LinkLayer:
     def deliver_frame(self, frame: Frame) -> set[NodeId]:
         """Validate role legality and schedule delivery; returns the intended
         recipient set.  Range is re-checked at arrival time; frames that fail
-        then are traced as DROP and reported to the loss hooks."""
+        then are traced as DROP and reported as `frame_lost`."""
         group = self.groups.get(frame.group_id)
         if group is None:
             raise NotInGroupError(f"no group {frame.group_id}")
@@ -663,23 +667,9 @@ class LinkLayer:
             self.engine.log(frame.src, EventClass.DROP, reason="lost",
                             dst=dst, group=frame.group_id,
                             size_bits=frame.size_bits)
-            for hook in self._lost_hooks:
-                hook(frame.src, dst, frame)
+            self.upper.frame_lost(frame.src, dst, frame)
             return
-        receiver = self._receivers.get(dst)
-        if receiver is not None:
-            receiver(frame)
-
-    # ------------------------------------------------------------------
-    # notifications
-
-    def _fire_link_up(self, a: NodeId, b: NodeId) -> None:
-        for hook in self._link_up_hooks:
-            hook(a, b)
-
-    def _fire_link_down(self, a: NodeId, b: NodeId) -> None:
-        for hook in self._link_down_hooks:
-            hook(a, b)
+        self.upper._on_frame(dst, frame)
 
     # ------------------------------------------------------------------
     # invariants (used by tests)

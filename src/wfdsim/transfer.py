@@ -4,7 +4,9 @@ interface with per-flow delivery reports.
 Frames go straight to the Wi-Fi Direct link layer: a unicast is sent in the
 context of the one group in which the two nodes may exchange frames
 (`LinkLayer.unicast_group`), and a control broadcast goes into every group
-context of the sending node.
+context of the sending node.  The transfer layer is the link layer's one
+upper layer (`LinkEvents`): it sets itself as `LinkLayer.upper` and hands
+arrivals, losses and link changes on to the routing agents.
 
 A delivery report's path is the one the packet recorded on itself as it
 was forwarded (`Packet.path`), plus the node that delivered it; the
@@ -19,7 +21,7 @@ from enum import Enum
 
 from .engine import Engine, EventClass, NodeId
 from .linklayer import (BROADCAST, DeviceState, Frame, InvalidStateError,
-                        LinkError, LinkLayer, OutOfRangeError)
+                        LinkError, LinkEvents, LinkLayer, OutOfRangeError)
 from .routing import (CONTROL_FRAME_BITS, Packet, RoutingAgent, TrafficClass)
 
 
@@ -74,7 +76,7 @@ DEDUP_WINDOW = 1024
 REPORT_TIMEOUT_US = 30_000_000
 
 
-class TransferLayer:
+class TransferLayer(LinkEvents):
     """Per-simulation transfer plane: wraps packets in frames, dispatches
     arrivals up to the routing agents, maintains per-node inboxes with a
     (src, app_seq) de-duplication window, and tracks per-flow outcomes."""
@@ -89,9 +91,7 @@ class TransferLayer:
         self._next_app_seq = 0
         self._pending: dict[int, _PendingFlow] = {}
         self.reports: dict[int, DeliveryReport] = {}
-        linklayer.on_frame_lost(self._on_frame_lost)
-        linklayer.on_link_up(self._on_link_up)
-        linklayer.on_link_down(self._on_link_down)
+        linklayer.upper = self
 
     def attach_agent(self, agent: RoutingAgent) -> None:
         node = agent.node
@@ -99,8 +99,6 @@ class TransferLayer:
         agent.transfer = self
         self._inboxes[node] = []
         self._dedup[node] = (deque(), set())
-        self.linklayer.set_receiver(node, lambda frame, n=node:
-                                    self._on_frame(n, frame))
 
     # ------------------------------------------------------------------
     # connection management
@@ -138,17 +136,14 @@ class TransferLayer:
         self.engine.log(local, EventClass.CONNECT, action="request", peer=peer)
 
         if ls is DeviceState.GROUP_OWNER and ps is DeviceState.GROUP_OWNER:
-            group = ll.owned_group(peer)
-            self.engine.call_later(ll.config.wps_us, self._finish_bridge,
-                                   conn, group)
+            self.engine.call_later(ll.config.wps_us, self._finish, conn,
+                                   ll.bridge_attach, local, ll.owned_group(peer))
         elif ps is DeviceState.GROUP_OWNER:
-            group = ll.owned_group(peer)
-            self.engine.call_later(ll.config.wps_us, self._finish_join,
-                                   conn, local, group)
+            self.engine.call_later(ll.config.wps_us, self._finish, conn,
+                                   ll.join_group, local, ll.owned_group(peer))
         elif ls is DeviceState.GROUP_OWNER:
-            group = ll.owned_group(local)
-            self.engine.call_later(ll.config.wps_us, self._finish_join,
-                                   conn, peer, group)
+            self.engine.call_later(ll.config.wps_us, self._finish, conn,
+                                   ll.join_group, peer, ll.owned_group(local))
         else:
             self._discover_then_negotiate(conn)
         return conn
@@ -171,61 +166,54 @@ class TransferLayer:
         self.engine.log(conn.local, EventClass.CONNECT, action="failed",
                         peer=conn.peer, reason=reason)
 
-    def _finish_bridge(self, conn: Connection, group) -> None:
+    def _finish(self, conn: Connection, attach, node: NodeId, group) -> None:
+        """Join or bridge `node` into `group` once WPS is done."""
         try:
-            self.linklayer.bridge_attach(conn.local, group)
-        except Exception as exc:  # policy, role or range changed meanwhile
-            self._conn_failed(conn, type(exc).__name__)
-            return
-        self._conn_up(conn)
-
-    def _finish_join(self, conn: Connection, client: NodeId, group) -> None:
-        try:
-            self.linklayer.join_group(client, group)
-        except Exception as exc:
+            attach(node, group)
+        except LinkError as exc:  # policy, role or range changed meanwhile
             self._conn_failed(conn, type(exc).__name__)
             return
         self._conn_up(conn)
 
     def _discover_then_negotiate(self, conn: Connection) -> None:
+        """Discovery is recorded on both ends, and negotiating (or aborting
+        after it fails) ends both sessions, so `on_found` runs at most once
+        per connect and only once each side has found the other."""
         ll = self.linklayer
         local, peer = conn.local, conn.peer
-        state = {"negotiated": False}
 
-        def maybe_negotiate(node, discovered):
-            if state["negotiated"]:
-                return
-            if peer in ll.discovered(local) and local in ll.discovered(peer):
-                state["negotiated"] = True
-                try:
-                    ll.negotiate_go(local, peer,
-                                    on_complete=lambda group: self._conn_up(conn),
-                                    on_failed=lambda i, r, reason:
-                                    self._conn_failed(conn, reason))
-                except LinkError as exc:
-                    # the pair may be left from an earlier discovery and
-                    # the peer gone since; end both sessions so neither
-                    # node is left in FIND_*
-                    ll.abort_discovery(local)
-                    ll.abort_discovery(peer)
-                    self._conn_failed(conn, type(exc).__name__)
+        def on_found(node, discovered):
+            try:
+                ll.negotiate_go(local, peer,
+                                on_complete=lambda group: self._conn_up(conn),
+                                on_failed=lambda i, r, reason:
+                                self._conn_failed(conn, reason))
+            except LinkError as exc:
+                # the pair may be left from an earlier discovery and the
+                # peer gone since; end both sessions so neither node is
+                # left in FIND_*
+                ll.abort_discovery(local)
+                ll.abort_discovery(peer)
+                self._conn_failed(conn, type(exc).__name__)
 
         def on_timeout(node):
-            if not state["negotiated"]:
-                self._conn_failed(conn, "discovery_timeout")
+            self._conn_failed(conn, "discovery_timeout")
 
-        ll.start_discovery(local, target=peer, on_found=maybe_negotiate,
+        ll.start_discovery(local, target=peer, on_found=on_found,
                            on_timeout=on_timeout)
-        ll.start_discovery(peer, target=local, on_found=maybe_negotiate,
+        ll.start_discovery(peer, target=local, on_found=on_found,
                            on_timeout=on_timeout)
 
-    def _on_link_up(self, a: NodeId, b: NodeId) -> None:
+    # ------------------------------------------------------------------
+    # link events (LinkEvents)
+
+    def link_up(self, a: NodeId, b: NodeId) -> None:
         for node, peer in ((a, b), (b, a)):
             agent = self.agents.get(node)
             if agent is not None:
                 agent.on_link_up(peer)
 
-    def _on_link_down(self, a: NodeId, b: NodeId) -> None:
+    def link_down(self, a: NodeId, b: NodeId) -> None:
         for node, peer in ((a, b), (b, a)):
             agent = self.agents.get(node)
             if agent is not None:
@@ -286,7 +274,7 @@ class TransferLayer:
         else:
             agent.handle_control(frame.payload, frame.sent_at)
 
-    def _on_frame_lost(self, src: NodeId, dst: NodeId, frame: Frame) -> None:
+    def frame_lost(self, src: NodeId, dst: NodeId, frame: Frame) -> None:
         self._report_loss(src, dst, frame.payload)
 
     def _report_loss(self, src: NodeId, dst: NodeId, payload) -> None:

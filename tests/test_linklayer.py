@@ -6,8 +6,9 @@ from wfdsim.engine import MS, SECOND, EventClass
 from wfdsim.linklayer import (BROADCAST, BridgingDisabledError,
                               BridgingPolicy, DeviceState, Frame,
                               ForbiddenByRoleError, GoNegotiationParams,
-                              InvalidStateError, LinkConfig, NotInGroupError,
-                              OutOfRangeError, _DiscoverySession)
+                              InvalidStateError, LinkConfig, LinkEvents,
+                              NotInGroupError, OutOfRangeError,
+                              _DiscoverySession)
 from wfdsim.topology import Position
 
 from conftest import form_pair, make_link_world
@@ -280,11 +281,23 @@ def test_mobility_evicts_client_after_three_missed_keepalives():
 # ----------------------------------------------------------------------
 # frame delivery rules
 
+class Recorder(LinkEvents):
+    """An upper layer that records what the link layer reports."""
+
+    def __init__(self):
+        self.frames = []
+        self.losses = []
+
+    def _on_frame(self, node, frame):
+        self.frames.append((node, frame))
+
+    def frame_lost(self, src, dst, frame):
+        self.losses.append((src, dst))
+
+
 def delivered_frames(ll):
-    inbox = []
-    for node in ("go", "c1", "c2"):
-        ll.set_receiver(node, lambda f, n=node: inbox.append((n, f)))
-    return inbox
+    ll.upper = Recorder()
+    return ll.upper.frames
 
 
 def test_client_to_owner_unicast_latency_exact():
@@ -333,8 +346,8 @@ def test_client_broadcast_reaches_only_owner():
 
 def test_frame_lost_when_receiver_moves_out_before_arrival():
     engine, topo, ll, group = trio()
-    losses = []
-    ll.on_frame_lost(lambda src, dst, frame: losses.append((src, dst)))
+    ll.upper = Recorder()
+    losses = ll.upper.losses
     ll.deliver_frame(Frame("c1", "go", group.group_id, 8_000_000, None))
     topo.apply_move("go", Position(10_000, 0))  # moves before the 34 ms arrival
     engine.run_until(engine.now() + 1 * SECOND)
