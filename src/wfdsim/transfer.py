@@ -161,6 +161,8 @@ class TransferLayer(LinkEvents):
                         peer=conn.peer)
 
     def _conn_failed(self, conn: Connection, reason: str) -> None:
+        if conn.state is not ConnectionState.CONNECTING:
+            return  # both discovery sessions time out at the same instant
         conn.state = ConnectionState.CLOSED
         conn.reason = reason
         self.engine.log(conn.local, EventClass.CONNECT, action="failed",

@@ -54,7 +54,7 @@ WORKLOAD_GOLDEN = {
     "flows_many":
         "48e4cbd97b6347d8bac97e6d33b14beed0adbe569e4905f8329d08b4c1cff3e0",
     "churn_grid":
-        "2eb84d082adab812b55f9966a7f51ef0ed08ec9163889e06497680f0d5053a18",
+        "7c8bc150b7c5e32f37dcb72a1dc770851c570d576a28254db57a81dba57d43c9",
 }
 
 

@@ -134,6 +134,25 @@ def test_connect_fails_when_the_pair_drifts_apart_during_wps():
     sim.linklayer.check_consistency()
 
 
+def test_discovery_timeout_fails_the_connect_once():
+    # both ends' discovery sessions time out at the same instant; the
+    # connection fails once, not once per session
+    sim = Simulation.from_source({
+        "sim": {"duration_ms": 2000, "discovery_timeout_ms": 505},
+        "nodes": [{"id": "a", "pos": [0, 0]}, {"id": "b", "pos": [100, 0]}],
+        "script": [{"at_ms": 0, "action": "connect", "from": "a",
+                    "to": "b"}],
+    })
+    sim.run()
+    failed = [p for p in lines(sim, EventClass.CONNECT)
+              if p.details["action"] == "failed"]
+    assert [(p.node, p.details["reason"]) for p in failed] == \
+        [("a", "discovery_timeout")]
+    conn = sim.transfer.connections[0]
+    assert (conn.state, conn.reason) == (ConnectionState.CLOSED,
+                                         "discovery_timeout")
+
+
 # ----------------------------------------------------------------------
 # frame arithmetic
 
