@@ -5,8 +5,9 @@ and timing knobs), ``nodes`` (positions, radio profile, GO intent, relay
 energy cost), ``script`` (timed connect/join/bridge directives), ``mobility``
 (timed waypoint moves) and ``traffic`` (timed application sends).  Parsing is
 strict: unknown keys anywhere are an error, numbers must be finite and may
-not be booleans, and every cross-reference is validated with a message
-naming the offending entry.
+not be booleans, the periods ``advert_period_ms``, ``keepalive_ms`` and
+``find_max_ms`` must be at least 1 µs, and every cross-reference is
+validated with a message naming the offending entry.
 
 Each setting lives in the config object of the layer that reads it, and
 that dataclass holds its default: ``LinkConfig`` (discovery, negotiation,
@@ -176,6 +177,14 @@ def _ms(value, where: str, key: str) -> int:
     return us
 
 
+def _period_ms(value, where: str, key: str) -> int:
+    """A period of at least 1 µs: work that reschedules itself after zero
+    time would never let the clock advance."""
+    us = _ms(value, where, key)
+    _require(us > 0, f"{where}: {key} must be positive")
+    return us
+
+
 def _bridging(value, where: str, key: str) -> BridgingPolicy:
     try:
         return BridgingPolicy(value)
@@ -191,13 +200,13 @@ _POSITIVE_INT = _rule(lambda v: _integer(v) and v > 0, "be a positive integer")
 _SIM_FIELDS = {
     "seed": ("sim", "seed", _rule(_integer, "be an integer")),
     "duration_ms": ("sim", "duration_us", _ms),
-    "advert_period_ms": ("routing", "advert_period_us", _ms),
+    "advert_period_ms": ("routing", "advert_period_us", _period_ms),
     "scan_ms": ("link", "scan_us", _ms),
     "find_min_ms": ("link", "find_min_us", _ms),
-    "find_max_ms": ("link", "find_max_us", _ms),
+    "find_max_ms": ("link", "find_max_us", _period_ms),
     "discovery_timeout_ms": ("link", "discovery_timeout_us", _ms),
     "wps_ms": ("link", "wps_us", _ms),
-    "keepalive_ms": ("link", "keepalive_us", _ms),
+    "keepalive_ms": ("link", "keepalive_us", _period_ms),
     "overlap_min_ms": ("link", "overlap_min_us", _ms),
     "full_dump_every": ("routing", "full_dump_every", _POSITIVE_INT),
     "ttl": ("routing", "default_ttl", _POSITIVE_INT),

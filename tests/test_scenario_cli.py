@@ -150,6 +150,13 @@ INF, NAN = float("inf"), float("nan")
     (("mobility",), [{"at_ms": 10, "node": "a", "pos": [INF, INF]}],
      "mobility[0]: pos must be finite"),
     (("sim", 7), 1, "unknown field(s) in sim: 7"),
+    # a zero period reschedules itself forever at one virtual time
+    (("sim", "advert_period_ms"), 0, "sim: advert_period_ms must be positive"),
+    (("sim", "keepalive_ms"), 0, "sim: keepalive_ms must be positive"),
+    (("sim",), {"find_min_ms": 0, "find_max_ms": 0},
+     "sim: find_max_ms must be positive"),
+    (("sim", "keepalive_ms"), 0.0004,  # rounds to 0 µs
+     "sim: keepalive_ms must be positive"),
 ])
 def test_non_finite_and_boolean_inputs_rejected(path, value, message):
     doc = _set(variant(), path, value)
@@ -166,6 +173,10 @@ def test_non_finite_and_boolean_inputs_rejected(path, value, message):
     ("{}", "{range_m: true}", "nodes[1]: range_m must be positive"),
     ("{}", "{data_rate_bps: true}",
      "nodes[1]: data_rate_bps must be a positive integer"),
+    ("{advert_period_ms: 0}", "{}", "sim: advert_period_ms must be positive"),
+    ("{keepalive_ms: 0.0004}", "{}", "sim: keepalive_ms must be positive"),
+    ("{find_min_ms: 0, find_max_ms: 0}", "{}",
+     "sim: find_max_ms must be positive"),
 ])
 def test_cli_validate_rejects_bad_numbers_with_one_error_line(
         tmp_path, sim, node, message):

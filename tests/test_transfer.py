@@ -4,7 +4,7 @@ delivery reporting."""
 import pytest
 
 from wfdsim.engine import MS, SECOND, EventClass
-from wfdsim.linklayer import DeviceState, OutOfRangeError
+from wfdsim.linklayer import DeviceState, LinkEvents, OutOfRangeError
 from wfdsim.routing import Packet, TrafficClass
 from wfdsim.summary import parse_trace_line
 from wfdsim.transfer import (ConnectionState, DeliveryOutcome,
@@ -188,6 +188,25 @@ def test_send_to_peer_that_moved_away_reports_lost_and_invalidates():
     report = sim.transfer.report(seq)
     assert report.outcome is DeliveryOutcome.LOST
     assert not sim.table("a").primary("b").valid
+
+
+def test_send_to_a_hop_that_shares_no_group_reports_lost_and_invalidates():
+    # b leaves while the link layer reports to a stand-in, so a's routing
+    # agent still routes through b when a sends
+    sim = pair_sim(duration_s=20)
+    sim.run_until(3 * SECOND)
+    assert sim.table("a").primary("b").valid
+    sim.linklayer.upper = LinkEvents()
+    sim.linklayer.leave_group("b")
+    sim.linklayer.upper = sim.transfer
+    assert sim.linklayer.unicast_group("a", "b") is None
+    seq = sim.transfer.app_send("a", "b", 100, TrafficClass.REAL_TIME)
+    sim.run_until(3 * SECOND + 1 * MS)
+    assert sim.transfer.report(seq).outcome is DeliveryOutcome.LOST
+    assert not sim.table("a").primary("b").valid
+    drops = lines(sim, EventClass.DROP)
+    assert [(p.node, p.details) for p in drops] == \
+        [("a", {"reason": "lost", "dst": "b", "detail": "no_link"})]
 
 
 def test_swallowed_data_frame_times_out_as_lost():
