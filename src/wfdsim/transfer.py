@@ -136,16 +136,16 @@ class TransferLayer(LinkEvents):
         self.engine.log(local, EventClass.CONNECT, action="request", peer=peer)
 
         if ls is DeviceState.GROUP_OWNER and ps is DeviceState.GROUP_OWNER:
-            self.engine.call_later(ll.config.wps_us, self._finish, conn,
-                                   ll.bridge_attach, local, ll.owned_group(peer))
+            attach, node, group = ll.bridge_attach, local, ll.owned_group(peer)
         elif ps is DeviceState.GROUP_OWNER:
-            self.engine.call_later(ll.config.wps_us, self._finish, conn,
-                                   ll.join_group, local, ll.owned_group(peer))
+            attach, node, group = ll.join_group, local, ll.owned_group(peer)
         elif ls is DeviceState.GROUP_OWNER:
-            self.engine.call_later(ll.config.wps_us, self._finish, conn,
-                                   ll.join_group, peer, ll.owned_group(local))
+            attach, node, group = ll.join_group, peer, ll.owned_group(local)
         else:
             self._discover_then_negotiate(conn)
+            return conn
+        self.engine.call_later(ll.config.wps_us, self._finish, conn, attach,
+                               node, group)
         return conn
 
     def _track(self, local, peer, state) -> Connection:
