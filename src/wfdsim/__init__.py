@@ -2,7 +2,7 @@
 networking with a multi-hop distance-vector routing layer on top."""
 
 from .engine import (Engine, EventClass, MS, SECOND, RandomSource,
-                     Trace, TraceRecord, uniform_duration)
+                     Trace, uniform_duration)
 from .linklayer import (BROADCAST, BridgingPolicy, DeviceState, Frame,
                         GoNegotiationParams, Group, LinkConfig, LinkLayer,
                         ForbiddenByRoleError, NotInGroupError,

@@ -1,12 +1,13 @@
 """Command line interface: run a scenario, validate one, or replay a trace.
 
-Exit status is 0 when the command completed and 1 with a diagnostic on
-stderr for validation failures.
+Exit status is 0 when the command completed and 1 with a one-line
+diagnostic on stderr for an invalid scenario, option or trace file.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .engine import SECOND
@@ -55,12 +56,14 @@ def main(argv=None) -> int:
             return 0
         if args.command == "replay":
             with open(args.trace, "r", encoding="utf-8") as fh:
-                print(build_summary(fh).to_text(), end="")
+                try:
+                    text = build_summary(fh).to_text()
+                except ValueError as exc:
+                    print(f"error: {args.trace}: {exc}", file=sys.stderr)
+                    return 1
+            print(text, end="")
             return 0
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 2
@@ -71,7 +74,10 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         scenario.sim.seed = args.seed
     if args.until is not None:
-        scenario.sim.duration_us = int(args.until * SECOND)
+        us = args.until * SECOND
+        if not (math.isfinite(us) and round(us) > 0):
+            raise ScenarioError("--until must be finite and at least 1 µs")
+        scenario.sim.duration_us = round(us)
     sim = Simulation(scenario)
     summary = sim.run()
     if args.trace:

@@ -12,7 +12,8 @@ heap comparisons never reach `fn` and run entirely in C.  Cancelling sets
 `fn` to None; the event stays queued and is skipped when popped.
 
 The trace is write-only for the simulator: layers emit records into it,
-and only the summary (`summary.build_summary`) reads them back.
+and it is read back only as text: by the summary (`summary.build_summary`)
+and, from a written trace file, by `wfdsim replay`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import hashlib
 import heapq
 import itertools
 import random
-from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable
 
@@ -76,17 +76,11 @@ def _format_value(value: Any) -> str:
     return str(value)
 
 
-@dataclass
-class TraceRecord:
-    time_us: int
-    node: NodeId
-    event_class: EventClass
-    details: list[tuple[str, Any]]
-
-    def line(self) -> str:
-        parts = [str(self.time_us), self.node, self.event_class.value]
-        parts += [f"{k}={_format_value(v)}" for k, v in self.details]
-        return " ".join(parts)
+def _line(record: tuple) -> str:
+    time_us, node, event_class, details = record
+    parts = [str(time_us), node, event_class.value]
+    parts += [f"{k}={_format_value(v)}" for k, v in details.items()]
+    return " ".join(parts)
 
 
 class Trace:
@@ -96,22 +90,21 @@ class Trace:
     ``time_us node EVENT_CLASS key=value ...``
     with keys in the order the emitting site listed them.  Records appear
     in (time, seq) order because they are emitted from in-order event
-    processing.  Each record is formatted once: the formatted lines are
-    kept, and later calls format only the records emitted since.
+    processing.  A record is held in one form at a time: it is a
+    ``(time_us, node, event_class, details)`` tuple until the trace is
+    next read, and its formatted line after that.
     """
 
     def __init__(self) -> None:
-        self.records: list[TraceRecord] = []
+        self._pending: list[tuple] = []
         self._lines: list[str] = []
-
-    def emit(self, record: TraceRecord) -> None:
-        self.records.append(record)
+        self.emit = self._pending.append  # emit(record) queues one tuple
 
     def _formatted(self) -> list[str]:
-        lines = self._lines
-        if len(lines) < len(self.records):
-            lines += [r.line() for r in self.records[len(lines):]]
-        return lines
+        if self._pending:
+            self._lines += map(_line, self._pending)
+            self._pending.clear()
+        return self._lines
 
     def lines(self) -> list[str]:
         return list(self._formatted())
@@ -210,6 +203,5 @@ class Engine:
         return steps
 
     def log(self, node: NodeId, event_class: EventClass, **details: Any) -> None:
-        self.trace.emit(TraceRecord(self._now, node, event_class,
-                                    list(details.items())))
+        self.trace.emit((self._now, node, event_class, details))
 

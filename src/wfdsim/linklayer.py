@@ -212,9 +212,6 @@ class LinkLayer:
     def state(self, node: NodeId) -> DeviceState:
         return self._states[node]
 
-    def intent(self, node: NodeId) -> int:
-        return self._intents[node]
-
     def discovered(self, node: NodeId) -> set[NodeId]:
         return set(self._discovered[node])
 

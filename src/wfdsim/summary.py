@@ -21,11 +21,8 @@ class ParsedRecord:
 def parse_trace_line(line: str) -> ParsedRecord:
     parts = line.strip().split(" ")
     if len(parts) < 3:
-        raise ValueError(f"malformed trace line: {line!r}")
-    details = {}
-    for part in parts[3:]:
-        key, _, value = part.partition("=")
-        details[key] = value
+        raise ValueError("fewer than three fields")
+    details = dict(part.partition("=")[::2] for part in parts[3:])
     return ParsedRecord(int(parts[0]), parts[1], parts[2], details)
 
 
@@ -35,9 +32,9 @@ class FlowSummary:
     src: str
     dst: str
     traffic_class: str
-    outcome: str
-    latency_us: int | None
-    path: list[str]
+    outcome: str = "LOST"
+    latency_us: int | None = None
+    path: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -77,65 +74,74 @@ _TERMINAL_DROPS = {"ttl_expired": "TTL_EXPIRED", "no_route": "NO_ROUTE",
 
 
 def build_summary(lines) -> Summary:
-    records = [parse_trace_line(line) for line in lines if line.strip()]
+    """Summary of trace lines, each parsed when the loop reaches it; a
+    malformed line raises ValueError naming its 1-based line number."""
     summary = Summary()
     flows: dict[int, FlowSummary] = {}
     starts: dict[int, int] = {}
 
-    for rec in records:
-        summary.adverts.setdefault(rec.node, AdvertStats())
-        d = rec.details
-        if rec.event_class == "FORWARD":
-            app_seq = int(d["app_seq"])
-            if d["src"] == rec.node and app_seq not in flows:
-                flows[app_seq] = FlowSummary(app_seq, d["src"], d["dst"],
-                                             d.get("cls", "-"), "LOST", None,
-                                             [])
-                starts[app_seq] = rec.time_us
-            flow = flows.get(app_seq)
-            if flow is not None and flow.outcome == "LOST" and \
-                    d["src"] == flow.src:
-                flow.path.append(rec.node)
-        elif rec.event_class == "DELIVER":
-            app_seq = int(d["app_seq"])
-            flow = flows.get(app_seq)
-            if flow is None:
-                # self-send or delivery without a source-side FORWARD
-                flow = FlowSummary(app_seq, d["src"], rec.node,
-                                   d.get("cls", "-"), "LOST", None, [])
-                flows[app_seq] = flow
-                starts[app_seq] = rec.time_us
-            if flow.outcome == "LOST" and flow.latency_us is None:
-                flow.outcome = "DELIVERED"
-                flow.latency_us = rec.time_us - starts[app_seq]
-                flow.path.append(rec.node)
-        elif rec.event_class == "DROP":
-            reason = d.get("reason", "unknown")
-            summary.drops[reason] = summary.drops.get(reason, 0) + 1
-            if reason in _TERMINAL_DROPS and "app_seq" in d:
+    number, line = 0, ""
+    try:
+        for number, line in enumerate(lines, 1):
+            if not line.strip():
+                continue
+            rec = parse_trace_line(line)
+            if rec.node not in summary.adverts:
+                summary.adverts[rec.node] = AdvertStats()
+            d = rec.details
+            if rec.event_class == "FORWARD":
+                app_seq = int(d["app_seq"])
+                if d["src"] == rec.node and app_seq not in flows:
+                    flows[app_seq] = FlowSummary(app_seq, d["src"], d["dst"],
+                                                 d.get("cls", "-"))
+                    starts[app_seq] = rec.time_us
+                flow = flows.get(app_seq)
+                if flow is not None and flow.outcome == "LOST" and \
+                        d["src"] == flow.src:
+                    flow.path.append(rec.node)
+            elif rec.event_class == "DELIVER":
                 app_seq = int(d["app_seq"])
                 flow = flows.get(app_seq)
-                if flow is None and "src" in d and "dst" in d:
-                    flow = FlowSummary(app_seq, d["src"], d["dst"],
-                                       d.get("cls", "-"), "LOST", None, [])
+                if flow is None:
+                    # self-send or delivery without a source-side FORWARD
+                    flow = FlowSummary(app_seq, d["src"], rec.node,
+                                       d.get("cls", "-"))
                     flows[app_seq] = flow
-                if flow is not None and flow.outcome == "LOST" and \
-                        flow.latency_us is None:
-                    flow.outcome = _TERMINAL_DROPS[reason]
-        elif rec.event_class == "ADVERT":
-            if d.get("action") == "tx":
-                stats = summary.adverts[rec.node]
-                stats.tx += 1
-                stats.entries += int(d.get("n", 0))
-                stats.full_dumps += 1 if d.get("full") == "1" else 0
-                summary.adverts[rec.node] = stats
-            elif d.get("action") == "rx":
-                summary.convergence_us = max(summary.convergence_us,
-                                             rec.time_us)
-        elif rec.event_class == "DISCOVERY":
-            if d.get("action") == "resp" and d.get("changed", "-") != "-":
-                summary.convergence_us = max(summary.convergence_us,
-                                             rec.time_us)
+                    starts[app_seq] = rec.time_us
+                if flow.outcome == "LOST" and flow.latency_us is None:
+                    flow.outcome = "DELIVERED"
+                    flow.latency_us = rec.time_us - starts[app_seq]
+                    flow.path.append(rec.node)
+            elif rec.event_class == "DROP":
+                reason = d.get("reason", "unknown")
+                summary.drops[reason] = summary.drops.get(reason, 0) + 1
+                if reason in _TERMINAL_DROPS and "app_seq" in d:
+                    app_seq = int(d["app_seq"])
+                    flow = flows.get(app_seq)
+                    if flow is None and "src" in d and "dst" in d:
+                        flow = FlowSummary(app_seq, d["src"], d["dst"],
+                                           d.get("cls", "-"))
+                        flows[app_seq] = flow
+                    if flow is not None and flow.outcome == "LOST" and \
+                            flow.latency_us is None:
+                        flow.outcome = _TERMINAL_DROPS[reason]
+            elif rec.event_class == "ADVERT":
+                if d.get("action") == "tx":
+                    stats = summary.adverts[rec.node]
+                    stats.tx += 1
+                    stats.entries += int(d.get("n", 0))
+                    stats.full_dumps += 1 if d.get("full") == "1" else 0
+                elif d.get("action") == "rx":
+                    summary.convergence_us = max(summary.convergence_us,
+                                                 rec.time_us)
+            elif rec.event_class == "DISCOVERY":
+                if d.get("action") == "resp" and \
+                        d.get("changed", "-") != "-":
+                    summary.convergence_us = max(summary.convergence_us,
+                                                 rec.time_us)
+    except (KeyError, ValueError) as exc:
+        why = f"no {exc} field" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"line {number}: {why}: {line.strip()!r}") from None
 
     summary.flows = [flows[k] for k in sorted(flows)]
     return summary

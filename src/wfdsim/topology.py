@@ -61,9 +61,6 @@ class Topology:
         for peer in near:
             self._near[peer].add(node)
 
-    def nodes(self) -> list[NodeId]:
-        return sorted(self._positions)
-
     def position(self, node: NodeId) -> Position:
         self._check(node)
         return self._positions[node]

@@ -13,6 +13,7 @@ from wfdsim.linklayer import LinkLayer, LinkConfig
 from wfdsim.scenario import (NodeSpec, Scenario, ScriptDirective, SimSettings,
                              TrafficSpec)
 from wfdsim.simulation import Simulation
+from wfdsim.summary import parse_trace_line
 from wfdsim.topology import Position, Topology
 
 # `pythonpath` in pyproject.toml puts src/ on sys.path of the test process
@@ -33,6 +34,18 @@ def load_bench_module(stem: str) -> types.ModuleType:
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
          module.__dict__)
     return module
+
+
+def trace_records(trace, event_class=None, action=None):
+    """The trace's records parsed from its text, the form `replay` and a
+    trace file reader see; optionally only one event class and action."""
+    out = []
+    for rec in map(parse_trace_line, trace.lines()):
+        if event_class is not None and rec.event_class != event_class.value:
+            continue
+        if action is None or rec.details.get("action") == action:
+            out.append(rec)
+    return out
 
 
 def make_link_world(positions, intents=None, seed=1, config=None,

@@ -29,22 +29,10 @@ from wfdsim.routing import RoutingConfig, TrafficClass, select_route
 from wfdsim.scenario import (NodeSpec, Scenario, ScriptDirective, SimSettings,
                              load_scenario)
 from wfdsim.simulation import Simulation
-from wfdsim.summary import parse_trace_line
 from wfdsim.topology import Position
 from wfdsim.transfer import DeliveryOutcome
 
-from conftest import make_link_world
-
-
-def parsed(sim, event_class, action=None):
-    out = []
-    for r in sim.trace.records:
-        if r.event_class is not event_class:
-            continue
-        p = parse_trace_line(r.line())
-        if action is None or p.details.get("action") == action:
-            out.append(p)
-    return out
+from conftest import make_link_world, trace_records
 
 
 def passed(criterion, detail=""):
@@ -62,11 +50,11 @@ def test_criterion_1_chain4_reproduction():
     # discovery exchange; before the next advert wave the tables hold
     # exactly the one-hop neighbor sets
     sim.run_until(3 * SECOND)
-    bridge_up = [p for p in parsed(sim, EventClass.CONNECT, "up")
+    bridge_up = [p for p in trace_records(sim.trace, EventClass.CONNECT, "up")
                  if p.node == "B" and p.details["peer"] == "C"]
     assert not bridge_up, "bridge should not be up before its directive"
     sim.run_until(3_500_000)
-    bridge_up = [p for p in parsed(sim, EventClass.CONNECT, "up")
+    bridge_up = [p for p in trace_records(sim.trace, EventClass.CONNECT, "up")
                  if p.node == "B" and p.details["peer"] == "C"]
     assert bridge_up, "bridge B-C did not come up"
     t_bridge = bridge_up[0].time_us
@@ -99,7 +87,7 @@ def test_criterion_1_chain4_reproduction():
     flow = summary.flows[0]
     assert flow.outcome == "DELIVERED"
     assert flow.path == ["A", "B", "C", "D"]
-    first_hop = [p for p in parsed(sim, EventClass.FORWARD) if p.node == "A"]
+    first_hop = [p for p in trace_records(sim.trace, EventClass.FORWARD) if p.node == "A"]
     assert first_hop[0].details["next"] == "B"
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0, f"chain4 reproduction took {elapsed:.2f}s wall clock"
@@ -171,12 +159,9 @@ def test_criterion_3_negotiation_rules():
 
 
 def parsed_negotiation_request(engine):
-    for r in engine.trace.records:
-        if r.event_class is EventClass.NEGOTIATION:
-            d = dict(parse_trace_line(r.line()).details)
-            if d["action"] == "request":
-                return d
-    raise AssertionError("no negotiation request traced")
+    requests = trace_records(engine.trace, EventClass.NEGOTIATION, "request")
+    assert requests, "no negotiation request traced"
+    return requests[0].details
 
 
 # ----------------------------------------------------------------------
@@ -212,7 +197,7 @@ def test_criterion_4_discovery_timing():
 # 5. incremental broadcast
 
 def advert_window(sim, t_lo, t_hi):
-    return [p for p in parsed(sim, EventClass.ADVERT, "tx")
+    return [p for p in trace_records(sim.trace, EventClass.ADVERT, "tx")
             if t_lo < p.time_us <= t_hi]
 
 
@@ -232,11 +217,11 @@ def test_criterion_5_incremental_broadcast():
 
     mbreak = Simulation.from_source("mobility_break")
     mbreak.run()
-    evictions = parsed(mbreak, EventClass.GROUP, "evict")
+    evictions = trace_records(mbreak.trace, EventClass.GROUP, "evict")
     assert evictions, "mobility break must evict"
     t_evict = evictions[0].time_us
     assert t_evict > 12 * SECOND
-    b_adverts = [p for p in parsed(mbreak, EventClass.ADVERT, "tx")
+    b_adverts = [p for p in trace_records(mbreak.trace, EventClass.ADVERT, "tx")
                  if p.node == "B" and p.time_us > t_evict]
     assert b_adverts, "B must advertise after losing C"
     first = b_adverts[0]
@@ -375,7 +360,7 @@ def test_criterion_6_oracle_equivalence_and_loop_freedom():
             sent[sim.transfer.app_send(s, d, 64, cls)] = (s, d)
         sim.run_until(15 * SECOND)
         visits = {}
-        for p in parsed(sim, EventClass.FORWARD):
+        for p in trace_records(sim.trace, EventClass.FORWARD):
             seq = int(p.details["app_seq"])
             if seq in sent:
                 visits.setdefault(seq, []).append(p.node)
@@ -429,9 +414,7 @@ def test_criterion_8_determinism():
         tables = {n: {d: sim.table(n).primary(d).hop_count
                       for d in sim.table(n).valid_destinations()}
                   for n in ("A", "B", "C", "D")}
-        legs = [r.line() for r in sim.trace.records
-                if r.event_class is EventClass.DISCOVERY
-                and dict(r.details).get("action") == "leg"]
+        legs = trace_records(sim.trace, EventClass.DISCOVERY, "leg")
         return tables, summary.flows[0].path, legs, sim.trace.sha256()
 
     tables1, path1, legs1, sha1 = structure(1)

@@ -11,15 +11,7 @@ from wfdsim.linklayer import (BROADCAST, BridgingDisabledError,
                               _DiscoverySession)
 from wfdsim.topology import Position
 
-from conftest import form_pair, make_link_world
-
-
-def discovery_records(engine, action=None):
-    records = [r for r in engine.trace.records
-               if r.event_class is EventClass.DISCOVERY]
-    if action is None:
-        return records
-    return [r for r in records if dict(r.details).get("action") == action]
+from conftest import form_pair, make_link_world, trace_records
 
 
 # ----------------------------------------------------------------------
@@ -39,7 +31,8 @@ def test_isolated_node_times_out_to_idle():
     ll.start_discovery("a")
     engine.run_until(11 * SECOND)
     assert ll.state("a") is DeviceState.IDLE
-    assert len(discovery_records(engine, "timeout")) == 1
+    assert len(trace_records(engine.trace, EventClass.DISCOVERY,
+                             "timeout")) == 1
 
 
 def test_discovery_requires_idle():
@@ -56,7 +49,8 @@ def test_find_legs_deterministic_per_seed():
         ll.start_discovery("a")
         ll.start_discovery("b")
         engine.run_until(10 * SECOND)
-        sequences.append([r.line() for r in discovery_records(engine, "leg")])
+        sequences.append(trace_records(engine.trace, EventClass.DISCOVERY,
+                                       "leg"))
     assert sequences[0] == sequences[1]
     assert sequences[0], "expected at least one find leg"
 
@@ -66,8 +60,9 @@ def test_find_leg_durations_within_configured_interval():
                                     seed=7)
     ll.start_discovery("a")
     engine.run_until(11 * SECOND)
-    durations = [int(dict(r.details)["dur_us"])
-                 for r in discovery_records(engine, "leg")]
+    durations = [int(r.details["dur_us"])
+                 for r in trace_records(engine.trace, EventClass.DISCOVERY,
+                                        "leg")]
     assert durations
     assert all(100 * MS <= d < 300 * MS for d in durations)
 
@@ -151,10 +146,9 @@ def test_higher_intent_becomes_owner():
 
 def test_equal_intents_resolved_by_tie_breaker_bit():
     engine, ll, outcome = negotiate({"a": 5, "b": 5})
-    request = [r for r in engine.trace.records
-               if r.event_class is EventClass.NEGOTIATION
-               and dict(r.details)["action"] == "request"][0]
-    bit = int(dict(request.details)["tie"])
+    request = trace_records(engine.trace, EventClass.NEGOTIATION,
+                            "request")[0]
+    bit = int(request.details["tie"])
     expected_owner = "a" if bit else "b"
     assert outcome["group"].owner == expected_owner
 
@@ -175,14 +169,12 @@ def test_negotiation_requires_mutual_discovery():
 
 def test_negotiation_message_timing():
     engine, ll, outcome = negotiate({"a": 7, "b": 3})
-    nego = [r for r in engine.trace.records
-            if r.event_class is EventClass.NEGOTIATION]
-    times = {dict(r.details)["action"]: r.time_us for r in nego}
+    nego = trace_records(engine.trace, EventClass.NEGOTIATION)
+    times = {r.details["action"]: r.time_us for r in nego}
     # three messages, one MAC latency (2 ms) each, then the 200 ms WPS delay
     assert times["response"] - times["request"] == 2 * MS
     assert times["confirm"] - times["response"] == 2 * MS
-    group_formed = [r for r in engine.trace.records
-                    if r.event_class is EventClass.GROUP][0]
+    group_formed = trace_records(engine.trace, EventClass.GROUP)[0]
     assert group_formed.time_us - times["confirm"] == 200 * MS
 
 
@@ -266,11 +258,9 @@ def test_mobility_evicts_client_after_three_missed_keepalives():
     moved_at = engine.now()
     topo.apply_move("c1", Position(10_000, 0))
     engine.run_until(20 * SECOND)
-    evict = [r for r in engine.trace.records
-             if r.event_class is EventClass.GROUP
-             and dict(r.details).get("action") == "evict"]
+    evict = trace_records(engine.trace, EventClass.GROUP, "evict")
     assert len(evict) == 1
-    assert dict(evict[0].details)["peer"] == "c1"
+    assert evict[0].details["peer"] == "c1"
     # first miss lands within one keepalive period of the move, the third
     # miss two periods later
     elapsed = evict[0].time_us - moved_at
@@ -310,7 +300,6 @@ def test_client_to_owner_unicast_latency_exact():
     engine.run_until(sent_at + 1 * SECOND)
     assert [n for n, _ in inbox] == ["go"]
     # 8e6 bits / 250 Mbps = 32 ms, plus 2 ms MAC latency
-    arrival = [r for r in engine.trace.records if r.time_us > sent_at]
     assert engine.now() >= sent_at + 34 * MS
     assert inbox[0][1].sent_at == sent_at
 
@@ -352,9 +341,8 @@ def test_frame_lost_when_receiver_moves_out_before_arrival():
     topo.apply_move("go", Position(10_000, 0))  # moves before the 34 ms arrival
     engine.run_until(engine.now() + 1 * SECOND)
     assert losses == [("c1", "go")]
-    drops = [r for r in engine.trace.records
-             if r.event_class is EventClass.DROP]
-    assert any(dict(r.details).get("reason") == "lost" for r in drops)
+    drops = trace_records(engine.trace, EventClass.DROP)
+    assert any(r.details.get("reason") == "lost" for r in drops)
 
 
 # ----------------------------------------------------------------------

@@ -15,9 +15,8 @@ from wfdsim.routing import (INFINITE_HOPS, AdvertEntry, LinkMetrics,
                             RouteErrorNotice, RoutingEntry, RoutingTable,
                             TableAdvert, TrafficClass, _consider, merge_advert,
                             select_route)
-from wfdsim.summary import parse_trace_line
 
-from conftest import make_sim
+from conftest import make_sim, trace_records
 
 
 LINK = LinkMetrics(latency_us=2000, energy_cost=1.0)
@@ -386,9 +385,9 @@ def test_forward_ttl_one_at_relay_drops():
     agent.forward(pkt)
     assert agent.transfer.sent == []
     assert agent.transfer.drops == [(1, "ttl_expired")]
-    drop = engine.trace.records[-1]
-    assert drop.event_class is EventClass.DROP
-    assert dict(drop.details)["reason"] == "ttl_expired"
+    drop = trace_records(engine.trace)[-1]
+    assert drop.event_class == EventClass.DROP.value
+    assert drop.details["reason"] == "ttl_expired"
 
 
 def test_forward_without_route_drops_and_reports_at_source():
@@ -462,19 +461,6 @@ def test_invalidate_with_no_dependent_routes_changes_nothing():
 # ----------------------------------------------------------------------
 # behaviors in a running simulation
 
-def records(sim, event_class, action=None):
-    # go through the serialized form so tests see the same strings a trace
-    # file reader would
-    out = []
-    for r in sim.trace.records:
-        if r.event_class is not event_class:
-            continue
-        parsed = parse_trace_line(r.line())
-        if action is None or parsed.details.get("action") == action:
-            out.append((parsed.time_us, parsed.node, parsed.details))
-    return out
-
-
 def test_chain_discovery_populates_one_hop_tables(chain4_sim):
     sim = chain4_sim
     sim.run_until(3 * SECOND)  # groups are up, bridge not yet
@@ -493,12 +479,12 @@ def test_advert_after_join_carries_exactly_new_destinations():
                    script=[(0, "connect", "c1", "go"),
                            (2.5, "join", "c2", "go")])
     sim.run_until(10 * SECOND)
-    tx = records(sim, EventClass.ADVERT, "tx")
+    tx = trace_records(sim.trace, EventClass.ADVERT, "tx")
     # find the first advert the owner sends after c2 joined
-    join_time = records(sim, EventClass.GROUP, "join")[-1][0]
-    after = [t for t in tx if t[1] == "go" and t[0] > join_time]
+    join_time = trace_records(sim.trace, EventClass.GROUP, "join")[-1].time_us
+    after = [r for r in tx if r.node == "go" and r.time_us > join_time]
     assert after, "owner never advertised after the join"
-    dests = {e.split(":")[0] for e in after[0][2]["entries"].split(",")}
+    dests = {e.split(":")[0] for e in after[0].details["entries"].split(",")}
     assert dests == {"c1", "c2"}
 
 
@@ -506,11 +492,11 @@ def test_full_dump_every_tenth_tick():
     sim = make_sim([("a", 0, 0, 9), ("b", 100, 0, 1)],
                    script=[(0, "connect", "a", "b")], duration_s=21)
     sim.run_until(21 * SECOND)
-    for t, node, d in records(sim, EventClass.ADVERT, "tx"):
-        expect_full = t in (10 * SECOND, 20 * SECOND)
-        assert (d["full"] == "1") == expect_full
-    fulls = [t for t, _, d in records(sim, EventClass.ADVERT, "tx")
-             if d["full"] == "1"]
+    tx = trace_records(sim.trace, EventClass.ADVERT, "tx")
+    for r in tx:
+        expect_full = r.time_us in (10 * SECOND, 20 * SECOND)
+        assert (r.details["full"] == "1") == expect_full
+    fulls = [r.time_us for r in tx if r.details["full"] == "1"]
     assert sorted(set(fulls)) == [10 * SECOND, 20 * SECOND]
 
 
@@ -518,12 +504,12 @@ def test_self_seq_monotone_everywhere(chain4_sim):
     sim = chain4_sim
     sim.run()
     observed: dict[tuple[str, str], int] = {}
-    for t, node, d in records(sim, EventClass.ADVERT, "tx"):
-        for item in d["entries"].split(","):
+    for r in trace_records(sim.trace, EventClass.ADVERT, "tx"):
+        for item in r.details["entries"].split(","):
             dest, seq = item.split(":")[0], int(item.split(":")[1])
-            key = (node, dest)
+            key = (r.node, dest)
             assert observed.get(key, -1) <= seq, \
-                f"{node} advertised {dest} with a decreasing sequence"
+                f"{r.node} advertised {dest} with a decreasing sequence"
             observed[key] = seq
 
 
@@ -535,7 +521,8 @@ def test_incremental_stream_reconstructs_tables():
         sim = Simulation.from_source(name)
         sim.run()
         shadows: dict[str, dict[str, tuple]] = {}
-        for t, node, d in records(sim, EventClass.ADVERT, "tx"):
+        for r in trace_records(sim.trace, EventClass.ADVERT, "tx"):
+            node, d = r.node, r.details
             entries = {}
             for item in d["entries"].split(","):
                 dest, seq, hops, lat, en = item.split(":")
@@ -606,6 +593,6 @@ def test_mobility_break_invalidations_propagate():
         entry_a = sim.table("A").primary(dst)
         assert not entry_a.valid
     # A heard about it via B's advert
-    rx = [d for t, node, d in records(sim, EventClass.ADVERT, "rx")
-          if node == "A" and t > 12 * SECOND]
+    rx = [r.details for r in trace_records(sim.trace, EventClass.ADVERT, "rx")
+          if r.node == "A" and r.time_us > 12 * SECOND]
     assert any(set(d["changed"].split(",")) == {"C", "D"} for d in rx)

@@ -14,6 +14,8 @@ from wfdsim.scenario import ScenarioError, load_scenario
 from wfdsim.simulation import Simulation
 from wfdsim.summary import build_summary
 
+from conftest import trace_records
+
 
 BASE = {
     "sim": {"seed": 1, "duration_ms": 5000},
@@ -191,6 +193,35 @@ def test_cli_validate_rejects_bad_numbers_with_one_error_line(
     assert (result.returncode, result.stderr) == (1, f"error: {message}\n")
 
 
+# not finite, negative, zero, or under 1 µs once rounded
+@pytest.mark.parametrize("until", ["-1", "nan", "inf", "1e308", "0", "4e-7"])
+def test_cli_run_rejects_bad_until_with_one_error_line(until):
+    result = subprocess.run(
+        [sys.executable, "-m", "wfdsim.cli", "run", "chain4",
+         f"--until={until}"],
+        capture_output=True, text=True, timeout=120)
+    assert "Traceback" not in result.stderr
+    assert (result.returncode, result.stdout, result.stderr) == (
+        1, "", "error: --until must be finite and at least 1 µs\n")
+
+
+@pytest.mark.parametrize("text, where", [
+    ("garbage\n", "line 1: fewer than three fields: 'garbage'"),
+    ("5 n1 DELIVER src=n1 app_seq=0\n\n10 n1 FORWARD src=n1\n",
+     "line 3: no 'app_seq' field: '10 n1 FORWARD src=n1'"),
+])
+def test_cli_replay_rejects_a_malformed_trace_with_one_error_line(
+        tmp_path, text, where):
+    bad = tmp_path / "bad.trace"
+    bad.write_text(text)
+    result = subprocess.run(
+        [sys.executable, "-m", "wfdsim.cli", "replay", str(bad)],
+        capture_output=True, text=True, timeout=120)
+    assert "Traceback" not in result.stderr
+    assert (result.returncode, result.stdout, result.stderr) == (
+        1, "", f"error: {bad}: {where}\n")
+
+
 def test_bridging_policy_parsed():
     doc = variant()
     doc["sim"]["bridging"] = "NONE"
@@ -327,7 +358,6 @@ def test_every_setting_reaches_its_layer():
     from wfdsim.engine import EventClass
     from wfdsim.linklayer import BridgingPolicy, LinkConfig
     from wfdsim.routing import RoutingConfig
-    from wfdsim.summary import parse_trace_line
     from wfdsim.topology import RadioProfile
 
     # each value differs from its default and from every other value
@@ -357,9 +387,7 @@ def test_every_setting_reaches_its_layer():
 
     sim.run()
     assert sim.engine.now() == 7_000_000
-    adverts = [p for p in map(parse_trace_line, sim.trace.lines())
-               if p.event_class == EventClass.ADVERT.value
-               and p.details["action"] == "tx"]
+    adverts = trace_records(sim.trace, EventClass.ADVERT, "tx")
     assert adverts, "the pair must advertise once its group is up"
     assert all(p.time_us % 700_000 == 0 for p in adverts)
     assert all(p.time_us % (4 * 700_000) == 0 for p in adverts
@@ -377,3 +405,21 @@ def test_readme_scenario_example_loads_and_builds():
     assert scenario.node_ids() == ["A", "B"]
     sim = Simulation(scenario)
     assert sim.topology.profile("B").data_rate_bps == 250_000_000
+
+
+def test_readme_library_example_runs(capsys):
+    # the documented Python use must run as written
+    import pathlib
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md")
+    blocks = re.findall(r"```python\n(.*?)```",
+                        readme.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(compile(blocks[0], str(readme), "exec"), namespace)
+    out = capsys.readouterr().out.splitlines(keepends=True)
+    # A's table at 7 s: destination -> (next hop, hops, sequence number)
+    assert out[0] == "{'B': ('B', 1, 4), 'C': ('B', 2, 4), 'D': ('B', 3, 4)}\n"
+    assert out[1] == "['A', 'B', 'C', 'D']\n"
+    assert "".join(out[2:]) == namespace["summary"].to_text() + "\n"
+    assert "flow app_seq=0 src=A dst=D class=BULK outcome=DELIVERED " \
+        "latency_us=6096 path=A,B,C,D\n" in out

@@ -6,18 +6,12 @@ import pytest
 from wfdsim.engine import MS, SECOND, EventClass
 from wfdsim.linklayer import DeviceState, LinkEvents, OutOfRangeError
 from wfdsim.routing import Packet, TrafficClass
-from wfdsim.summary import parse_trace_line
 from wfdsim.transfer import (ConnectionState, DeliveryOutcome,
                              RoleConflictError)
 from wfdsim.simulation import Simulation
 from wfdsim.topology import Position
 
-from conftest import CHAIN4_NODES, CHAIN4_SCRIPT, make_sim
-
-
-def lines(sim, event_class):
-    return [parse_trace_line(r.line()) for r in sim.trace.records
-            if r.event_class is event_class]
+from conftest import CHAIN4_NODES, CHAIN4_SCRIPT, make_sim, trace_records
 
 
 def pair_sim(**kwargs):
@@ -120,14 +114,14 @@ def test_stale_discovery_of_departed_peer_fails_the_connect(seed):
 def test_connect_fails_when_the_pair_drifts_apart_during_wps():
     sim = pair_sim()
     while not any(p.details["action"] == "confirm"
-                  for p in lines(sim, EventClass.NEGOTIATION)):
+                  for p in trace_records(sim.trace, EventClass.NEGOTIATION)):
         sim.run_until(sim.engine.now() + 1 * MS)
     sim.topology.apply_move("b", Position(5000, 0))  # WPS takes 200 ms
     sim.run_until(3 * SECOND)
     conn = sim.transfer.connections[0]
     assert (conn.state, conn.reason) == (ConnectionState.CLOSED,
                                          "out_of_range")
-    failed = [p for p in lines(sim, EventClass.CONNECT)
+    failed = [p for p in trace_records(sim.trace, EventClass.CONNECT)
               if p.details["action"] == "failed"]
     assert [(p.node, p.details["reason"]) for p in failed] == \
         [("a", "out_of_range")]
@@ -144,7 +138,7 @@ def test_discovery_timeout_fails_the_connect_once():
                     "to": "b"}],
     })
     sim.run()
-    failed = [p for p in lines(sim, EventClass.CONNECT)
+    failed = [p for p in trace_records(sim.trace, EventClass.CONNECT)
               if p.details["action"] == "failed"]
     assert [(p.node, p.details["reason"]) for p in failed] == \
         [("a", "discovery_timeout")]
@@ -204,7 +198,7 @@ def test_send_to_a_hop_that_shares_no_group_reports_lost_and_invalidates():
     sim.run_until(3 * SECOND + 1 * MS)
     assert sim.transfer.report(seq).outcome is DeliveryOutcome.LOST
     assert not sim.table("a").primary("b").valid
-    drops = lines(sim, EventClass.DROP)
+    drops = trace_records(sim.trace, EventClass.DROP)
     assert [(p.node, p.details) for p in drops] == \
         [("a", {"reason": "lost", "dst": "b", "detail": "no_link"})]
 
@@ -267,7 +261,7 @@ def test_duplicate_injection_suppressed_by_dedup_window():
     sim.agent("b").forward(dup)
     inbox = [m for m in sim.transfer.app_receive("b") if m[2] == 777]
     assert len(inbox) == 1
-    drops = [r for r in lines(sim, EventClass.DROP)
+    drops = [r for r in trace_records(sim.trace, EventClass.DROP)
              if r.details.get("reason") == "duplicate"]
     assert len(drops) == 1
 
