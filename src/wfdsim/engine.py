@@ -59,10 +59,6 @@ class EventHandle:
     def cancelled(self) -> bool:
         return self._event[2] is None
 
-    @property
-    def fire_at(self) -> int:
-        return self._event[0]
-
 
 def _format_value(value: Any) -> str:
     if isinstance(value, bool):

@@ -87,7 +87,8 @@ def test_criterion_1_chain4_reproduction():
     flow = summary.flows[0]
     assert flow.outcome == "DELIVERED"
     assert flow.path == ["A", "B", "C", "D"]
-    first_hop = [p for p in trace_records(sim.trace, EventClass.FORWARD) if p.node == "A"]
+    first_hop = [p for p in trace_records(sim.trace, EventClass.FORWARD)
+                 if p.node == "A"]
     assert first_hop[0].details["next"] == "B"
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0, f"chain4 reproduction took {elapsed:.2f}s wall clock"
@@ -221,7 +222,8 @@ def test_criterion_5_incremental_broadcast():
     assert evictions, "mobility break must evict"
     t_evict = evictions[0].time_us
     assert t_evict > 12 * SECOND
-    b_adverts = [p for p in trace_records(mbreak.trace, EventClass.ADVERT, "tx")
+    b_adverts = [p for p in trace_records(mbreak.trace, EventClass.ADVERT,
+                                          "tx")
                  if p.node == "B" and p.time_us > t_evict]
     assert b_adverts, "B must advertise after losing C"
     first = b_adverts[0]
