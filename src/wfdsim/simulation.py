@@ -12,10 +12,11 @@ from __future__ import annotations
 from .engine import MS, Engine, EventClass, NodeId
 from .linklayer import (DeviceState, LinkError, LinkLayer, InvalidStateError)
 from .routing import RoutingAgent
+from .transfer import TransferError
 from .scenario import Scenario, ScriptDirective, load_scenario
 from .summary import Summary, build_summary
 from .topology import Topology
-from .transfer import TransferError, TransferLayer
+from .transfer import TransferLayer
 
 DIRECTIVE_RETRY_US = 500 * MS
 
