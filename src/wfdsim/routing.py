@@ -25,6 +25,19 @@ equal-hop alternate).  This is the DSDV rule that an update carrying no new
 information is dropped.  Every other candidate goes through `_consider`.
 Because an identical refresh is skipped, `RoutingEntry.last_updated` is
 the time a route was adopted or changed, not when it was last heard.
+
+Full dumps repeat mostly what every neighbor already heard, so both ends
+do work only for what changed.  A table never edits an entry: each write
+puts new entries into the slots (`RoutingTable.put`).  So an entry builds
+its advert tuple and wire text once, the first time an advert carries it,
+and keeps them.  A full dump then joins kept strings, and names in
+`changed` the destinations whose entry its previous dump did not carry.
+`put` also stamps each written destination with the table's version.  A
+receiver that folded the sender's previous dump over the same link folds
+from the next one only the destinations in `changed` or stamped since
+(`merge_full_dump`); the rest would be applied to the slots they already
+shaped, which `_consider` leaves as they are.  The trace is the same as
+with a whole fold.
 """
 
 from __future__ import annotations
@@ -78,7 +91,14 @@ class Packet:
 class RoutingEntry:
     """One candidate route.  `last_updated` is the virtual time the route
     was adopted or changed; a refresh identical to it is not merged, so it
-    is not the time the route was last heard.  Nothing reads it."""
+    is not the time the route was last heard.  Nothing reads it.
+
+    An entry's route is never changed after it is built: a table write puts
+    new entries into the slots (`RoutingTable.put`).  Adverts rely on this.
+    The first advert that carries an entry keeps its advert tuple and wire
+    text on it (`advert`, `wire`), and each full dump stamps the entries it
+    carries with its number (`dumped`), so the next dump can name the
+    destinations whose route it did not carry before."""
 
     destination: NodeId
     next_hop: NodeId
@@ -87,6 +107,11 @@ class RoutingEntry:
     latency_us: int
     energy_cost: float
     last_updated: int
+    advert: AdvertEntry | None = field(default=None, init=False, repr=False,
+                                       compare=False)
+    wire: str | None = field(default=None, init=False, repr=False,
+                             compare=False)
+    dumped: int = field(default=-1, init=False, repr=False, compare=False)
 
     @property
     def valid(self) -> bool:
@@ -106,12 +131,35 @@ class AdvertEntry(NamedTuple):
 _new_advert_entry = partial(tuple.__new__, AdvertEntry)
 
 
+def _wire(entry: AdvertEntry) -> str:
+    """An advert entry as the trace writes it: dest:seq:hops:lat_us:energy."""
+    return "%s:%s:%s:%s:%g" % entry
+
+
+def _cache_advert(e: RoutingEntry) -> None:
+    """Keep on `e` its advert tuple and wire text; an invalid route goes out
+    with infinite hops and zero latency and energy."""
+    if e.hop_count < INFINITE_HOPS:
+        e.advert = _new_advert_entry((e.destination, e.seq_no, e.hop_count,
+                                      e.latency_us, e.energy_cost))
+    else:
+        e.advert = _new_advert_entry((e.destination, e.seq_no, INFINITE_HOPS,
+                                      0, 0.0))
+    e.wire = _wire(e.advert)
+
+
 @dataclass
 class TableAdvert:
+    """A table advert.  A full dump also carries its number among the
+    sender's full dumps and the destinations whose entry the sender's
+    previous full dump did not carry (`None` when there was none)."""
+
     sender: NodeId
     sender_cost: float
     entries: list[AdvertEntry]
     full_dump: bool
+    dump_no: int = 0
+    changed: set[NodeId] | None = None
 
 
 @dataclass
@@ -146,7 +194,13 @@ class LinkMetrics:
 class RoutingTable:
     """Per-node table: destination -> up to two candidate entries, primary
     first.  Never holds an entry for its owner.  The dirty set tracks
-    destinations whose advertised route changed since the last advert."""
+    destinations whose advertised route changed since the last advert.
+
+    Every write goes through `put`, which also stamps the destination with
+    the table's next `version` in `changed_at`.  The stamps cover every
+    write, seq-only refreshes and alternates included, so they are not the
+    dirty set.  `heard` keeps, per sender, what the table last folded of
+    that sender's full dumps (see `merge_full_dump`)."""
 
     MAX_CANDIDATES = 2
 
@@ -155,6 +209,15 @@ class RoutingTable:
         self.entries: dict[NodeId, list[RoutingEntry]] = {}
         self.self_seq = 0
         self.dirty: set[NodeId] = set()
+        self.version = 0
+        self.changed_at: dict[NodeId, int] = {}
+        # sender -> (dump_no, version after folding it, link latency, energy)
+        self.heard: dict[NodeId, tuple[int, int, int, float]] = {}
+
+    def put(self, dst: NodeId, slots: list[RoutingEntry]) -> None:
+        self.entries[dst] = slots
+        self.version += 1
+        self.changed_at[dst] = self.version
 
     def primary(self, dst: NodeId) -> RoutingEntry | None:
         slots = self.entries.get(dst)
@@ -228,18 +291,51 @@ def merge_advert(table: RoutingTable, advert: TableAdvert, link: LinkMetrics,
     return changed
 
 
+def merge_full_dump(table: RoutingTable, advert: TableAdvert,
+                    link: LinkMetrics, now: int) -> set[NodeId]:
+    """`merge_advert` for a full dump, folding only what may change the
+    table.
+
+    After each full dump it folds, the table records in `heard` the dump's
+    number, its own version and the link's latency and energy.  When the
+    sender's next dump follows directly over an unchanged link, an entry
+    whose destination is neither in the dump's `changed` nor written since
+    that fold yields the same candidate that fold gave `_consider`, against
+    the same slots.  `_consider` is a pure function of the slots and the
+    candidate, and applying it to its own output changes nothing, apart
+    from an identical alternate's `last_updated`, which nothing reads.  So
+    such entries are dropped before `merge_advert`; any other dump is
+    folded whole."""
+    heard = table.heard.get(advert.sender)
+    if (heard is not None and advert.changed is not None
+            and heard[0] == advert.dump_no - 1
+            and heard[2] == link.latency_us
+            and heard[3] == link.energy_cost):
+        since, changed = heard[1], advert.changed
+        changed_at = table.changed_at.get
+        advert = TableAdvert(
+            advert.sender, advert.sender_cost,
+            [e for e in advert.entries
+             if e[0] in changed or changed_at(e[0], 0) > since],
+            True, advert.dump_no, changed)
+    folded = merge_advert(table, advert, link, now)
+    table.heard[advert.sender] = (advert.dump_no, table.version,
+                                  link.latency_us, link.energy_cost)
+    return folded
+
+
 def _consider(table: RoutingTable, cand: RoutingEntry) -> bool:
-    slots = table.entries.get(cand.destination)
+    dest = cand.destination
+    slots = table.entries.get(dest)
     if not slots:
         if not cand.valid:
             return False  # nothing to invalidate
-        table.entries[cand.destination] = [cand]
+        table.put(dest, [cand])
         return True
     primary = slots[0]
     if cand.seq_no > primary.seq_no:
-        old = _route_fields(primary)
-        table.entries[cand.destination] = [cand]
-        return _route_fields(cand) != old
+        table.put(dest, [cand])
+        return _route_fields(cand) != _route_fields(primary)
     if cand.seq_no < primary.seq_no:
         return False
     # equal sequence
@@ -248,41 +344,31 @@ def _consider(table: RoutingTable, cand: RoutingEntry) -> bool:
     if not primary.valid:
         return False  # even == odd cannot happen; defensive
     if (cand.hop_count, cand.latency_us) < (primary.hop_count, primary.latency_us):
-        old = _route_fields(primary)
-        slots = [cand]
         if (primary.next_hop != cand.next_hop
                 and primary.hop_count == cand.hop_count):
-            slots.append(primary)
-        table.entries[cand.destination] = slots
-        return _route_fields(cand) != old
+            table.put(dest, [cand, primary])
+        else:
+            table.put(dest, [cand])
+        return _route_fields(cand) != _route_fields(primary)
     if cand.next_hop == primary.next_hop:
-        old = _route_fields(primary)
-        slots[0] = cand
-        return _route_fields(cand) != old
+        table.put(dest, [cand, *slots[1:]])
+        return _route_fields(cand) != _route_fields(primary)
     # alternate candidacy: equal seq, equal hops, different neighbor
     if cand.hop_count != primary.hop_count:
         return False
     for i, alt in enumerate(slots[1:], start=1):
         if alt.next_hop == cand.next_hop:
-            slots[i] = cand
+            table.put(dest, [*slots[:i], cand, *slots[i + 1:]])
             return False
     if len(slots) < RoutingTable.MAX_CANDIDATES:
-        slots.append(cand)
+        table.put(dest, [*slots, cand])
     else:
         worst = max(range(1, len(slots)),
                     key=lambda i: (slots[i].latency_us, slots[i].next_hop))
         if (cand.latency_us, cand.next_hop) < (slots[worst].latency_us,
                                                slots[worst].next_hop):
-            slots[worst] = cand
+            table.put(dest, [*slots[:worst], cand, *slots[worst + 1:]])
     return False
-
-
-def _wire_entries(entries: list[AdvertEntry]) -> str:
-    """Serialize advert entries for the trace: dest:seq:hops:lat_us:energy,
-    joined by commas; '-' for an empty advert."""
-    if not entries:
-        return "-"
-    return ",".join(["%s:%s:%s:%s:%g" % entry for entry in entries])
 
 
 def select_route(table: RoutingTable, dst: NodeId,
@@ -385,39 +471,59 @@ class RoutingAgent:
     def advert_tick(self) -> None:
         self.tick_count += 1
         table = self.table
-        full = self.tick_count % self.config.full_dump_every == 0
-        if full:
+        if self.tick_count % self.config.full_dump_every == 0:
             table.self_seq += 2
-            entries = [AdvertEntry(self.node, table.self_seq, 0, 0, 0.0)]
-            entries += self._advert_entries(table.destinations())
+            advert, wires = self._full_dump(
+                self.tick_count // self.config.full_dump_every)
         elif table.dirty:
-            entries = self._advert_entries(
+            entries, wires = self._advert_entries(
                 d for d in sorted(table.dirty) if d in table.entries)
+            advert = TableAdvert(self.node, self.energy_cost, entries, False)
         else:
             return
-        advert = TableAdvert(self.node, self.energy_cost, entries, full)
         recipients = self.transfer.broadcast_control(self.node, advert)
         if not recipients:
             return  # nobody heard it; keep the dirty set for the next tick
         self.table.dirty.clear()
         self.engine.log(self.node, EventClass.ADVERT, action="tx",
-                        full=full, n=len(entries), cost=self.energy_cost,
-                        entries=_wire_entries(entries))
+                        full=advert.full_dump, n=len(advert.entries),
+                        cost=self.energy_cost,
+                        entries=",".join(wires) or "-")
 
-    def _advert_entries(self, dests) -> list[AdvertEntry]:
-        """The advertised primary route to each destination; an invalid
-        one goes out with infinite hops and zero latency and energy."""
+    def _advert_entries(self, dests) -> tuple[list[AdvertEntry], list[str]]:
+        """The advertised primary route to each destination, and its wire
+        text; an invalid one goes out with infinite hops and zero latency
+        and energy.  Both are built once per entry and kept on it."""
         slots_of = self.table.entries
-        entries = []
+        entries, wires = [], []
         for dst in dests:
             e = slots_of[dst][0]
-            if e.hop_count < INFINITE_HOPS:
-                entries.append(_new_advert_entry(
-                    (dst, e.seq_no, e.hop_count, e.latency_us, e.energy_cost)))
-            else:
-                entries.append(_new_advert_entry(
-                    (dst, e.seq_no, INFINITE_HOPS, 0, 0.0)))
-        return entries
+            if e.wire is None:
+                _cache_advert(e)
+            entries.append(e.advert)
+            wires.append(e.wire)
+        return entries, wires
+
+    def _full_dump(self, dump_no: int) -> tuple[TableAdvert, list[str]]:
+        """Full dump number `dump_no`: this node's own entry, then every
+        destination's advertised route.  Stamps each entry it carries, and
+        names in `changed` the destinations whose entry the previous dump
+        did not carry."""
+        table = self.table
+        own = _new_advert_entry((self.node, table.self_seq, 0, 0, 0.0))
+        entries, wires, changed = [own], [_wire(own)], [self.node]
+        slots_of, previous = table.entries, dump_no - 1
+        for dst in table.destinations():
+            e = slots_of[dst][0]
+            if e.wire is None:
+                _cache_advert(e)
+            entries.append(e.advert)
+            wires.append(e.wire)
+            if e.dumped != previous:
+                changed.append(dst)
+            e.dumped = dump_no
+        return TableAdvert(self.node, self.energy_cost, entries, True,
+                           dump_no, set(changed) if previous else None), wires
 
     def _on_advert(self, advert: TableAdvert, sent_at: int) -> None:
         now = self.engine.now()
@@ -431,7 +537,8 @@ class RoutingAgent:
             # one-way transit (symmetric links: equals half the round trip)
             link = LinkMetrics(now - sent_at, advert.sender_cost)
             self.link_metrics[advert.sender] = link
-        changed = merge_advert(self.table, advert, link, now)
+        merge = merge_full_dump if advert.full_dump else merge_advert
+        changed = merge(self.table, advert, link, now)
         if changed:
             self.engine.log(self.node, EventClass.ADVERT, action="rx",
                             sender=advert.sender, changed=sorted(changed))
@@ -447,24 +554,25 @@ class RoutingAgent:
         self.link_metrics.pop(lost_peer, None)
         now = self.engine.now()
         changed: set[NodeId] = set()
-        for dst in self.table.destinations():
-            slots = self.table.entries[dst]
+        table = self.table
+        for dst in table.destinations():
+            slots = table.entries[dst]
             primary = slots[0]
             survivors = [e for e in slots if e.next_hop != lost_peer]
             if primary.next_hop != lost_peer:
                 if len(survivors) != len(slots):
-                    self.table.entries[dst] = survivors  # dropped an alternate
+                    table.put(dst, survivors)  # dropped an alternate
                 continue
             if not primary.valid:
                 continue
             if survivors:
-                self.table.entries[dst] = survivors
+                table.put(dst, survivors)
             else:
-                self.table.entries[dst] = [RoutingEntry(
+                table.put(dst, [RoutingEntry(
                     dst, lost_peer, INFINITE_HOPS, primary.seq_no + 1,
-                    0, 0.0, now)]
+                    0, 0.0, now)])
             changed.add(dst)
-        self.table.dirty |= changed
+        table.dirty |= changed
         return changed
 
     # ------------------------------------------------------------------

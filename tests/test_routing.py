@@ -9,12 +9,13 @@ import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
+from wfdsim import routing
 from wfdsim.engine import SECOND, Engine, EventClass
 from wfdsim.routing import (INFINITE_HOPS, AdvertEntry, LinkMetrics,
                             NoRouteError, Packet, RoutingAgent, RoutingConfig,
                             RouteErrorNotice, RoutingEntry, RoutingTable,
                             TableAdvert, TrafficClass, _consider, merge_advert,
-                            select_route)
+                            merge_full_dump, select_route)
 
 from conftest import make_sim, trace_records
 
@@ -456,6 +457,193 @@ def test_invalidate_with_no_dependent_routes_changes_nothing():
     })
     assert agent.invalidate_neighbor("zz") == set()
     assert agent.table.dirty == set()
+
+
+# ----------------------------------------------------------------------
+# full dumps: entries built once per route, folds skip what was heard
+
+def advertiser(node, full_dump_every=1):
+    """An agent whose adverts are kept in `transfer.controls`; "a" hears
+    them."""
+    agent = RoutingAgent(node, Engine(1), 1.0,
+                         RoutingConfig(full_dump_every=full_dump_every))
+    agent.transfer = FakeTransfer(["a"])
+    return agent
+
+
+def tick(agent):
+    """The advert this tick sends and the wire text it traces, or None."""
+    sent = len(agent.transfer.controls)
+    agent.advert_tick()
+    if len(agent.transfer.controls) == sent:
+        return None
+    wire = trace_records(agent.engine.trace, EventClass.ADVERT,
+                         "tx")[-1].details["entries"]
+    return agent.transfer.controls[-1][2], wire
+
+
+def advertised(msg, wire, dest):
+    """dest's advert tuple and wire text in one advert."""
+    [entry] = [e for e in msg.entries if e.dest == dest]
+    [text] = [w for w in wire.split(",") if w.split(":")[0] == dest]
+    return tuple(entry), text
+
+
+def test_full_dump_after_alternate_promotion_carries_the_new_route():
+    b = advertiser("b")
+    merge_advert(b.table, advert("c", [("d", 6, 1, 2000, 1.0)]), LINK, 0)
+    msg, wire = tick(b)
+    assert advertised(msg, wire, "d") == (("d", 6, 2, 4000, 2.0),
+                                          "d:6:2:4000:2")
+    # a lower-latency route via x becomes primary; c's is kept as alternate
+    merge_advert(b.table, advert("x", [("d", 6, 1, 500, 0.5)]), LINK, 1)
+    msg, wire = tick(b)
+    assert advertised(msg, wire, "d") == (("d", 6, 2, 2500, 1.5),
+                                          "d:6:2:2500:1.5")
+    assert "d" in msg.changed
+    # losing x promotes the older entry via c, which dump 1 carried
+    b.invalidate_neighbor("x")
+    msg, wire = tick(b)
+    assert advertised(msg, wire, "d") == (("d", 6, 2, 4000, 2.0),
+                                          "d:6:2:4000:2")
+    assert "d" in msg.changed
+    msg, wire = tick(b)
+    assert msg.changed == {"b"}  # nothing new since the last dump
+
+
+def test_seq_only_refresh_changes_the_wire_text():
+    b = advertiser("b")
+    merge_advert(b.table, advert("c", [("d", 6, 1, 2000, 1.0)]), LINK, 0)
+    msg, wire = tick(b)
+    assert advertised(msg, wire, "d")[1] == "d:6:2:4000:2"
+    b.table.dirty.clear()
+    assert merge_advert(b.table, advert("c", [("d", 8, 1, 2000, 1.0)]),
+                        LINK, 1) == set()  # not an advertised change
+    msg, wire = tick(b)
+    assert advertised(msg, wire, "d") == (("d", 8, 2, 4000, 2.0),
+                                          "d:8:2:4000:2")
+    assert "d" in msg.changed
+    assert b.table.dirty == set()
+
+
+def test_full_dump_folds_only_destinations_that_changed(monkeypatch):
+    folded = []
+    real_merge = routing.merge_advert
+
+    def recording_merge(table, adv, link, now):
+        folded.append(sorted(e.dest for e in adv.entries))
+        return real_merge(table, adv, link, now)
+
+    monkeypatch.setattr(routing, "merge_advert", recording_merge)
+    b = advertiser("b")
+    merge_advert(b.table, advert("c", [("c", 2, 0, 0, 0.0),
+                                       ("d", 6, 1, 2000, 1.0)]), LINK, 0)
+    rx = RoutingTable("a")
+
+    def fold(link=LINK):
+        msg, _ = tick(b)
+        return merge_full_dump(rx, msg, link, 0)
+
+    assert fold() == {"b", "c", "d"}  # the first dump carries no `changed`
+    fold()
+    assert folded[-1] == ["b"]  # only b's own entry has a new sequence
+    fold(LinkMetrics(3000, 1.0))
+    assert folded[-1] == ["b", "c", "d"]  # another link: folded whole
+    tick(b)  # a dump the receiver misses
+    fold(LinkMetrics(3000, 1.0))
+    assert folded[-1] == ["b", "c", "d"]
+    # a write to d at the receiver since its last fold of b
+    merge_advert(rx, advert("x", [("d", 8, 0, 0, 0.0)]), LINK, 0)
+    fold(LinkMetrics(3000, 1.0))
+    assert folded[-1] == ["b", "d"]
+
+
+def alternate_scene():
+    """Receiver "a" holds d via b with an alternate via x; y's dump offers
+    an equal-hop route to d that loses to the alternate.  Returns the
+    receiver agent and y, which has sent one dump."""
+    _, rx = agent_with({}, peers=("b", "x", "y"))
+    merge_advert(rx.table, advert("b", [("d", 4, 1, 0, 1.0)]), LINK, 0)
+    merge_advert(rx.table, advert("x", [("d", 4, 1, 500, 1.0)]), LINK, 0)
+    y = advertiser("y")
+    merge_advert(y.table, advert("c", [("d", 4, 0, 0, 0.0)]),
+                 LinkMetrics(1000, 1.0), 0)
+    merge_full_dump(rx.table, tick(y)[0], LINK, 0)
+    assert routes(rx.table, "d") == [("b", 2000), ("x", 2500)]
+    return rx, y
+
+
+def routes(table, dst):
+    return [(e.next_hop, e.latency_us) for e in table.candidates(dst)]
+
+
+def test_full_dump_refolds_a_destination_whose_alternate_was_replaced():
+    rx, y = alternate_scene()
+    # x's route gets slower: its alternate is replaced, now worse than y's
+    merge_advert(rx.table, advert("x", [("d", 4, 1, 2000, 1.0)]), LINK, 0)
+    merge_full_dump(rx.table, tick(y)[0], LINK, 0)
+    assert routes(rx.table, "d") == [("b", 2000), ("y", 3000)]
+
+
+def test_full_dump_refolds_a_destination_whose_alternate_was_dropped():
+    rx, y = alternate_scene()
+    rx.invalidate_neighbor("x")
+    merge_full_dump(rx.table, tick(y)[0], LINK, 0)
+    assert routes(rx.table, "d") == [("b", 2000), ("y", 3000)]
+
+
+SENDERS = ["b", "x", "y"]
+_upstream = st.sampled_from(["b", "c", "d", "x", "y"])
+_op = st.one_of(
+    # a sender's table learns routes from an upstream neighbor
+    st.tuples(st.just("learn"), st.sampled_from(SENDERS), _upstream, _link,
+              st.lists(_advert_entry, min_size=1, max_size=4)),
+    # a sender loses a neighbor
+    st.tuples(st.just("lose"), st.sampled_from(SENDERS), _upstream),
+    # a sender ticks; the receiver hears the advert over a link, or kept
+    # link (None), or misses it
+    st.tuples(st.just("tick"), st.sampled_from(SENDERS),
+              st.none() | _link, st.booleans()),
+    # the receiver loses a neighbor
+    st.tuples(st.just("drop"), st.sampled_from(SENDERS)),
+    # the receiver hears a neighbor's incremental advert, which can also
+    # write alternates only
+    st.tuples(st.just("hear"), st.sampled_from(SENDERS), _link,
+              st.lists(_advert_entry, min_size=1, max_size=4)),
+)
+
+
+@given(st.lists(_op, max_size=40))
+def test_skipping_full_dump_fold_matches_full_candidate_fold(ops):
+    senders = {n: advertiser(n, full_dump_every=3) for n in SENDERS}
+    links = {n: LinkMetrics(1000, 0.5) for n in SENDERS}
+    fast = agent_with({}, peers=SENDERS)[1]
+    slow = agent_with({}, peers=SENDERS)[1]
+    for now, op in enumerate(ops, start=1):
+        kind, node = op[0], op[1]
+        sender = senders.get(node)
+        if kind == "learn" and op[2] != node:
+            merge_advert(sender.table, advert(op[2], op[4]), op[3], now)
+        elif kind == "lose":
+            sender.invalidate_neighbor(op[2])
+        elif kind == "drop":
+            assert fast.invalidate_neighbor(node) == \
+                slow.invalidate_neighbor(node)
+        elif kind == "hear":
+            msg = advert(node, op[3])
+            assert merge_advert(fast.table, msg, op[2], now) == \
+                reference_merge(slow.table, msg, op[2], now)
+        elif kind == "tick":
+            sent = tick(sender)
+            if sent is None or not op[3]:
+                continue
+            msg = sent[0]
+            links[node] = link = op[2] or links[node]
+            merge = merge_full_dump if msg.full_dump else merge_advert
+            assert merge(fast.table, msg, link, now) == \
+                reference_merge(slow.table, msg, link, now)
+        assert table_state(fast.table) == table_state(slow.table)
+        assert fast.table.dirty == slow.table.dirty
 
 
 # ----------------------------------------------------------------------
