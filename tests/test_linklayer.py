@@ -272,21 +272,23 @@ def test_mobility_evicts_client_after_three_missed_keepalives():
 # frame delivery rules
 
 class Recorder(LinkEvents):
-    """An upper layer that records what the link layer reports."""
+    """An upper layer that records what the link layer reports, and the
+    virtual time each frame arrived."""
 
-    def __init__(self):
+    def __init__(self, engine):
+        self.engine = engine
         self.frames = []
         self.losses = []
 
     def _on_frame(self, node, frame):
-        self.frames.append((node, frame))
+        self.frames.append((node, frame, self.engine.now()))
 
     def frame_lost(self, src, dst, frame):
         self.losses.append((src, dst))
 
 
 def delivered_frames(ll):
-    ll.upper = Recorder()
+    ll.upper = Recorder(ll.engine)
     return ll.upper.frames
 
 
@@ -298,10 +300,11 @@ def test_client_to_owner_unicast_latency_exact():
                                         8_000_000, "payload"))
     assert recipients == {"go"}
     engine.run_until(sent_at + 1 * SECOND)
-    assert [n for n, _ in inbox] == ["go"]
+    assert [n for n, _, _ in inbox] == ["go"]
+    _, frame, arrived_at = inbox[0]
     # 8e6 bits / 250 Mbps = 32 ms, plus 2 ms MAC latency
-    assert engine.now() >= sent_at + 34 * MS
-    assert inbox[0][1].sent_at == sent_at
+    assert arrived_at == sent_at + 34 * MS
+    assert frame.sent_at == sent_at
 
 
 def test_client_to_client_unicast_forbidden():
@@ -335,7 +338,7 @@ def test_client_broadcast_reaches_only_owner():
 
 def test_frame_lost_when_receiver_moves_out_before_arrival():
     engine, topo, ll, group = trio()
-    ll.upper = Recorder()
+    ll.upper = Recorder(engine)
     losses = ll.upper.losses
     ll.deliver_frame(Frame("c1", "go", group.group_id, 8_000_000, None))
     topo.apply_move("go", Position(10_000, 0))  # moves before the 34 ms arrival
