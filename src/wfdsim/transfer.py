@@ -1,5 +1,5 @@
-"""Connection orchestration and the application facing send/receive
-interface with per-flow delivery reports.
+"""Connection orchestration and the application facing send interface
+with per-flow delivery reports.
 
 Frames go straight to the Wi-Fi Direct link layer: a unicast is sent in the
 context of the one group in which the two nodes may exchange frames
@@ -78,15 +78,16 @@ REPORT_TIMEOUT_US = 30_000_000
 
 class TransferLayer(LinkEvents):
     """Per-simulation transfer plane: wraps packets in frames, dispatches
-    arrivals up to the routing agents, maintains per-node inboxes with a
-    (src, app_seq) de-duplication window, and tracks per-flow outcomes."""
+    arrivals up to the routing agents, delivers each packet once per node
+    through a (src, app_seq) de-duplication window, and tracks per-flow
+    outcomes: a delivery is recorded in its report and its DELIVER trace
+    record."""
 
     def __init__(self, engine: Engine, linklayer: LinkLayer):
         self.engine = engine
         self.linklayer = linklayer
         self.agents: dict[NodeId, RoutingAgent] = {}
         self.connections: list[Connection] = []
-        self._inboxes: dict[NodeId, list[tuple[NodeId, int, int]]] = {}
         self._dedup: dict[NodeId, tuple[deque, set]] = {}
         self._next_app_seq = 0
         self._pending: dict[int, _PendingFlow] = {}
@@ -97,7 +98,6 @@ class TransferLayer(LinkEvents):
         node = agent.node
         self.agents[node] = agent
         agent.transfer = self
-        self._inboxes[node] = []
         self._dedup[node] = (deque(), set())
 
     # ------------------------------------------------------------------
@@ -322,17 +322,11 @@ class TransferLayer(LinkEvents):
         seen.add(key)
         if len(window) > DEDUP_WINDOW:
             seen.discard(window.popleft())
-        self._inboxes[node].append((pkt.src, pkt.payload_bits, pkt.app_seq))
         self.engine.log(node, EventClass.DELIVER, src=pkt.src,
                         app_seq=pkt.app_seq, cls=pkt.traffic_class,
                         bits=pkt.payload_bits)
         self._finalize(pkt.app_seq, DeliveryOutcome.DELIVERED,
                        pkt.path + [node])
-
-    def app_receive(self, node: NodeId) -> list[tuple[NodeId, int, int]]:
-        """Everything delivered to this node so far: (src, payload_bits,
-        app_seq) in delivery order."""
-        return list(self._inboxes[node])
 
     # ------------------------------------------------------------------
     # delivery reports

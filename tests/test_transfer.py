@@ -14,6 +14,15 @@ from wfdsim.topology import Position
 from conftest import CHAIN4_NODES, CHAIN4_SCRIPT, make_sim, trace_records
 
 
+def deliveries(sim, node):
+    """(src, payload bits, app_seq) of each DELIVER record at node, in
+    trace order."""
+    return [(r.details["src"], int(r.details["bits"]),
+             int(r.details["app_seq"]))
+            for r in trace_records(sim.trace, EventClass.DELIVER)
+            if r.node == node]
+
+
 def pair_sim(**kwargs):
     return make_sim([("a", 0, 0, 9), ("b", 100, 0, 1)],
                     script=[(0, "connect", "a", "b")], **kwargs)
@@ -229,7 +238,7 @@ def test_self_send_is_a_degenerate_local_delivery():
     assert report.outcome is DeliveryOutcome.DELIVERED
     assert report.path == ["a"]
     assert report.latency_us == 0
-    assert ("a", 123, seq) in sim.transfer.app_receive("a")
+    assert deliveries(sim, "a") == [("a", 123, seq)]
 
 
 def test_send_to_unreachable_destination_reports_no_route():
@@ -241,15 +250,14 @@ def test_send_to_unreachable_destination_reports_no_route():
     assert sim.transfer.report(seq).outcome is DeliveryOutcome.NO_ROUTE
 
 
-def test_app_receive_in_delivery_order_and_exactly_once():
+def test_deliveries_in_order_and_exactly_once():
     sim = pair_sim()
     sim.run_until(3 * SECOND)
     s1 = sim.transfer.app_send("a", "b", 10, TrafficClass.REAL_TIME)
     s2 = sim.transfer.app_send("a", "b", 20, TrafficClass.REAL_TIME)
     sim.run_until(4 * SECOND)
-    inbox = sim.transfer.app_receive("b")
-    assert inbox == [("a", 10, s1), ("a", 20, s2)]
-    assert sim.transfer.app_receive("a") == []
+    assert deliveries(sim, "b") == [("a", 10, s1), ("a", 20, s2)]
+    assert deliveries(sim, "a") == []
 
 
 def test_duplicate_injection_suppressed_by_dedup_window():
@@ -259,8 +267,8 @@ def test_duplicate_injection_suppressed_by_dedup_window():
     sim.agent("b").forward(pkt)
     dup = Packet("a", "b", 777, 16, TrafficClass.REAL_TIME, 10)
     sim.agent("b").forward(dup)
-    inbox = [m for m in sim.transfer.app_receive("b") if m[2] == 777]
-    assert len(inbox) == 1
+    assert [m for m in deliveries(sim, "b") if m[2] == 777] == \
+        [("a", 10, 777)]
     drops = [r for r in trace_records(sim.trace, EventClass.DROP)
              if r.details.get("reason") == "duplicate"]
     assert len(drops) == 1
