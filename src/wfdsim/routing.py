@@ -28,13 +28,13 @@ the time a route was adopted or changed, not when it was last heard.
 
 Full dumps repeat mostly what every neighbor already heard, so both ends
 do work only for what changed.  A table never edits an entry: each write
-puts new entries into the slots (`RoutingTable.put`).  So an entry builds
-its advert tuple and wire text once, the first time an advert carries it,
-and keeps them.  A full dump then joins kept strings, and names in
-`changed` the destinations whose entry its previous dump did not carry.
-`put` also stamps each written destination with the table's version.  A
-receiver that folded the sender's previous dump over the same link folds
-from the next one only the destinations in `changed` or stamped since
+puts new entries into the slots through `RoutingTable.put`, which also
+stamps the destination with the table's version.  So an entry builds its
+advert tuple and wire text once, the first time an advert carries it, and
+keeps them; a full dump joins kept strings.  It names in `changed` the
+destinations its table wrote since its previous dump.  A receiver that
+folded the sender's previous dump over the same link folds from the next
+one only the destinations in `changed` or written in its own table since
 (`merge_full_dump`); the rest would be applied to the slots they already
 shaped, which `_consider` leaves as they are.  The trace is the same as
 with a whole fold.
@@ -93,12 +93,10 @@ class RoutingEntry:
     was adopted or changed; a refresh identical to it is not merged, so it
     is not the time the route was last heard.  Nothing reads it.
 
-    An entry's route is never changed after it is built: a table write puts
-    new entries into the slots (`RoutingTable.put`).  Adverts rely on this.
-    The first advert that carries an entry keeps its advert tuple and wire
-    text on it (`advert`, `wire`), and each full dump stamps the entries it
-    carries with its number (`dumped`), so the next dump can name the
-    destinations whose route it did not carry before."""
+    An entry is never changed after it is built: a table write puts new
+    entries into the slots (`RoutingTable.put`).  Adverts rely on this: the
+    first advert that carries an entry keeps its advert tuple and wire text
+    on it (`advert`, `wire`), and every later advert reuses them."""
 
     destination: NodeId
     next_hop: NodeId
@@ -111,7 +109,6 @@ class RoutingEntry:
                                        compare=False)
     wire: str | None = field(default=None, init=False, repr=False,
                              compare=False)
-    dumped: int = field(default=-1, init=False, repr=False, compare=False)
 
     @property
     def valid(self) -> bool:
@@ -151,8 +148,9 @@ def _cache_advert(e: RoutingEntry) -> None:
 @dataclass
 class TableAdvert:
     """A table advert.  A full dump also carries its number among the
-    sender's full dumps and the destinations whose entry the sender's
-    previous full dump did not carry (`None` when there was none)."""
+    sender's full dumps and, in `changed`, the destinations the sender's
+    table wrote since its previous full dump (`None` when there was none):
+    every other entry repeats what that dump carried."""
 
     sender: NodeId
     sender_cost: float
@@ -409,6 +407,7 @@ class RoutingAgent:
         self.table = RoutingTable(node)
         self.link_metrics: dict[NodeId, LinkMetrics] = {}
         self.tick_count = 0
+        self.dump_version: int | None = None  # table version at last dump
         self.transfer = None  # wired by the simulation
 
     # ------------------------------------------------------------------
@@ -506,24 +505,20 @@ class RoutingAgent:
 
     def _full_dump(self, dump_no: int) -> tuple[TableAdvert, list[str]]:
         """Full dump number `dump_no`: this node's own entry, then every
-        destination's advertised route.  Stamps each entry it carries, and
-        names in `changed` the destinations whose entry the previous dump
-        did not carry."""
+        destination's advertised route.  `changed` names this node and the
+        destinations written since the previous dump."""
         table = self.table
         own = _new_advert_entry((self.node, table.self_seq, 0, 0, 0.0))
-        entries, wires, changed = [own], [_wire(own)], [self.node]
-        slots_of, previous = table.entries, dump_no - 1
-        for dst in table.destinations():
-            e = slots_of[dst][0]
-            if e.wire is None:
-                _cache_advert(e)
-            entries.append(e.advert)
-            wires.append(e.wire)
-            if e.dumped != previous:
-                changed.append(dst)
-            e.dumped = dump_no
+        entries, wires = self._advert_entries(table.destinations())
+        entries.insert(0, own)
+        wires.insert(0, _wire(own))
+        since, self.dump_version = self.dump_version, table.version
+        changed = None
+        if since is not None:
+            changed = {d for d, v in table.changed_at.items() if v > since}
+            changed.add(self.node)
         return TableAdvert(self.node, self.energy_cost, entries, True,
-                           dump_no, set(changed) if previous else None), wires
+                           dump_no, changed), wires
 
     def _on_advert(self, advert: TableAdvert, sent_at: int) -> None:
         now = self.engine.now()
