@@ -133,18 +133,6 @@ def _wire(entry: AdvertEntry) -> str:
     return "%s:%s:%s:%s:%g" % entry
 
 
-def _cache_advert(e: RoutingEntry) -> None:
-    """Keep on `e` its advert tuple and wire text; an invalid route goes out
-    with infinite hops and zero latency and energy."""
-    if e.hop_count < INFINITE_HOPS:
-        e.advert = _new_advert_entry((e.destination, e.seq_no, e.hop_count,
-                                      e.latency_us, e.energy_cost))
-    else:
-        e.advert = _new_advert_entry((e.destination, e.seq_no, INFINITE_HOPS,
-                                      0, 0.0))
-    e.wire = _wire(e.advert)
-
-
 @dataclass
 class TableAdvert:
     """A table advert.  A full dump also carries its number among the
@@ -498,7 +486,13 @@ class RoutingAgent:
         for dst in dests:
             e = slots_of[dst][0]
             if e.wire is None:
-                _cache_advert(e)
+                if e.hop_count < INFINITE_HOPS:
+                    e.advert = _new_advert_entry((dst, e.seq_no, e.hop_count,
+                                                  e.latency_us, e.energy_cost))
+                else:
+                    e.advert = _new_advert_entry((dst, e.seq_no,
+                                                  INFINITE_HOPS, 0, 0.0))
+                e.wire = _wire(e.advert)
             entries.append(e.advert)
             wires.append(e.wire)
         return entries, wires
