@@ -55,10 +55,6 @@ class EventHandle:
     def cancel(self) -> None:
         self._event[2] = None
 
-    @property
-    def cancelled(self) -> bool:
-        return self._event[2] is None
-
 
 def _format_value(value: Any) -> str:
     if isinstance(value, bool):

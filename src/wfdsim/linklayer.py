@@ -15,6 +15,10 @@ frame arrivals, frames lost at arrival, and links that come up or go down.
 The transfer layer is that object in a simulation; tests substitute a
 recorder.  Discovery and negotiation report through the continuations
 passed to each call instead, because each call belongs to one connection.
+
+Device state is worked out, not stored: `state(node)` reads it from the
+groups a node owns or is a client of, the negotiations in progress and the
+node's discovery session, so it cannot drift from them.
 """
 
 from __future__ import annotations
@@ -153,7 +157,9 @@ class LinkEvents:
 
 
 class _DiscoverySession:
-    __slots__ = ("node", "target", "active", "listen_channel", "leg_state",
+    """Live while it is its node's entry in `LinkLayer._sessions`."""
+
+    __slots__ = ("node", "target", "listen_channel", "leg_state",
                  "leg_channel", "leg_start", "leg_end", "handles", "on_found",
                  "on_timeout")
 
@@ -161,9 +167,8 @@ class _DiscoverySession:
                  on_found, on_timeout):
         self.node = node
         self.target = target
-        self.active = True
         self.listen_channel: int = 0
-        self.leg_state: DeviceState | None = None  # None while scanning
+        self.leg_state: DeviceState | None = None  # None until the first leg
         self.leg_channel: int = 0
         self.leg_start: int = 0
         self.leg_end: int = 0
@@ -178,13 +183,14 @@ class LinkLayer:
         self.engine = engine
         self.topology = topology
         self.config = config or LinkConfig()
-        self._states: dict[NodeId, DeviceState] = {}
         self._intents: dict[NodeId, int] = {}
         self._channels: dict[NodeId, int | None] = {}
         self.groups: dict[int, Group] = {}
-        self._owns: dict[NodeId, int] = {}
-        self._member_of: dict[NodeId, int] = {}        # clients only
-        self._bridges: dict[NodeId, set[int]] = {}     # GO -> foreign groups
+        # written only by _form_group, dissolve_group, _admit and _detach
+        self._owns: dict[NodeId, Group] = {}
+        self._member_of: dict[NodeId, Group] = {}      # clients only
+        self._bridges: dict[NodeId, dict[int, Group]] = {}  # GO -> foreign
+        self._negotiating: set[NodeId] = set()
         self._sessions: dict[NodeId, _DiscoverySession] = {}
         self._discovered: dict[NodeId, set[NodeId]] = {}
         self._next_group_id = 1
@@ -195,13 +201,12 @@ class LinkLayer:
 
     def register_node(self, node: NodeId, go_intent: int = 7,
                       channel: int | None = None) -> None:
-        if node in self._states:
+        if node in self._intents:
             raise ValueError(f"node {node!r} already registered")
         if not 0 <= go_intent <= 15:
             raise ValueError(f"GO intent {go_intent} outside 0..15")
         if channel is not None and channel not in SOCIAL_CHANNELS:
             raise ValueError(f"channel {channel} is not a social channel")
-        self._states[node] = DeviceState.IDLE
         self._intents[node] = go_intent
         self._channels[node] = channel
         self._discovered[node] = set()
@@ -210,37 +215,54 @@ class LinkLayer:
     # queries
 
     def state(self, node: NodeId) -> DeviceState:
-        return self._states[node]
+        """A group owner or client by its group, else negotiating, else in
+        discovery (SCAN until the first find leg), else IDLE."""
+        if node in self._owns:
+            return DeviceState.GROUP_OWNER
+        if node in self._member_of:
+            return DeviceState.GROUP_CLIENT
+        if node in self._negotiating:
+            return DeviceState.NEGOTIATING
+        session = self._sessions.get(node)
+        if session is not None:
+            return session.leg_state or DeviceState.SCAN
+        if node not in self._intents:
+            raise KeyError(node)
+        return DeviceState.IDLE
 
     def discovered(self, node: NodeId) -> set[NodeId]:
         return set(self._discovered[node])
 
     def owned_group(self, node: NodeId) -> Group | None:
-        gid = self._owns.get(node)
-        return self.groups[gid] if gid is not None else None
+        return self._owns.get(node)
 
     def client_group(self, node: NodeId) -> Group | None:
-        gid = self._member_of.get(node)
-        return self.groups[gid] if gid is not None else None
+        return self._member_of.get(node)
 
-    def bridge_groups(self, node: NodeId) -> list[Group]:
-        return [self.groups[g] for g in sorted(self._bridges.get(node, ()))]
+    def contexts(self, node: NodeId) -> list[Group]:
+        """The groups `node` may send in: the one it owns, the one it is a
+        client of, then the ones it bridges into, by group id."""
+        groups = [g for g in (self._owns.get(node), self._member_of.get(node))
+                  if g is not None]
+        bridges = self._bridges.get(node)
+        if bridges:
+            groups += [bridges[gid] for gid in sorted(bridges)]
+        return groups
 
     def peers(self, node: NodeId) -> set[NodeId]:
         """Role-legal unicast partners of `node` right now."""
         result: set[NodeId] = set()
-        group = self.owned_group(node)
-        if group is not None:
-            result |= group.members()
-        group = self.client_group(node)
-        if group is not None:
-            result.add(group.owner)
-        for group in self.bridge_groups(node):
-            result.add(group.owner)
+        for group in self.contexts(node):
+            if group.owner == node:
+                result |= group.members()
+            else:
+                result.add(group.owner)
         return result
 
     def deliverable_pairs(self) -> set[tuple[NodeId, NodeId]]:
-        """All unordered pairs for which a unicast frame could succeed."""
+        """All unordered pairs for which a unicast frame could succeed.  A
+        test oracle: the acceptance tests build the connectivity graph from
+        it."""
         pairs = set()
         for group in self.groups.values():
             for member in group.members():
@@ -256,10 +278,11 @@ class LinkLayer:
         if group is not None and group.owner == b:
             return group
         # group owners are unique, so at most one bridged group matches
-        for gid in self._bridges.get(a, ()):
-            group = self.groups[gid]
-            if group.owner == b:
-                return group
+        bridges = self._bridges.get(a)
+        if bridges:
+            for group in bridges.values():
+                if group.owner == b:
+                    return group
         return None
 
     def in_group(self, node: NodeId) -> bool:
@@ -270,21 +293,20 @@ class LinkLayer:
 
     def start_discovery(self, node: NodeId, target: NodeId | None = None,
                         on_found=None, on_timeout=None) -> None:
-        state = self._states[node]
+        state = self.state(node)
         if state is not DeviceState.IDLE:
             raise InvalidStateError(
                 f"{node} cannot start discovery from {state.value}")
         session = _DiscoverySession(node, target, on_found, on_timeout)
         rng = self.engine.node_rng(node)
         session.listen_channel = rng.choice(SOCIAL_CHANNELS)
-        # first leg state drawn so simultaneous starters do not run in lockstep
-        session.leg_state = rng.choice(FIND_STATES)
         self._sessions[node] = session
-        self._states[node] = DeviceState.SCAN
         self.engine.log(node, EventClass.DISCOVERY, action="start",
                         target=target or "-")
+        # a drawn first leg keeps simultaneous starters out of lockstep
         session.handles.append(self.engine.call_later(
-            self.config.scan_us, self._begin_find_leg, session))
+            self.config.scan_us, self._begin_find_leg, session,
+            rng.choice(FIND_STATES)))
         session.handles.append(self.engine.call_later(
             self.config.discovery_timeout_us, self._discovery_timeout, session))
 
@@ -292,41 +314,34 @@ class LinkLayer:
         session = self._sessions.get(node)
         if session is not None:
             self._end_session(session)
-        if self._states[node] in (DeviceState.SCAN,) + FIND_STATES:
-            self._states[node] = DeviceState.IDLE
 
-    def _begin_find_leg(self, session: _DiscoverySession) -> None:
-        if not session.active:
-            return
-        node = session.node
-        rng = self.engine.node_rng(node)
-        # alternate search/listen; the first leg state was drawn at start
-        if self._states[node] in FIND_STATES:
-            session.leg_state = (DeviceState.FIND_LISTEN
-                                 if session.leg_state is DeviceState.FIND_SEARCH
-                                 else DeviceState.FIND_SEARCH)
+    def _begin_find_leg(self, session: _DiscoverySession,
+                        leg_state: DeviceState) -> None:
+        rng = self.engine.node_rng(session.node)
+        session.leg_state = leg_state
         duration = uniform_duration(rng, self.config.find_min_us,
                                     self.config.find_max_us)
-        if session.leg_state is DeviceState.FIND_LISTEN:
+        if leg_state is DeviceState.FIND_LISTEN:
             session.leg_channel = session.listen_channel
         else:
             session.leg_channel = rng.choice(SOCIAL_CHANNELS)
         now = self.engine.now()
         session.leg_start = now
         session.leg_end = now + duration
-        self._states[node] = session.leg_state
-        self.engine.log(node, EventClass.DISCOVERY, action="leg",
-                        state=session.leg_state.value.lower(),
+        self.engine.log(session.node, EventClass.DISCOVERY, action="leg",
+                        state=leg_state.value.lower(),
                         chan=session.leg_channel, dur_us=duration)
         session.handles.append(self.engine.call_later(
-            duration, self._begin_find_leg, session))
+            duration, self._begin_find_leg, session,
+            DeviceState.FIND_LISTEN if leg_state is DeviceState.FIND_SEARCH
+            else DeviceState.FIND_SEARCH))
         self._check_probe_matches(session)
 
     def _check_probe_matches(self, session: _DiscoverySession) -> None:
         now = self.engine.now()
         for peer_id in sorted(self._sessions):
             peer = self._sessions[peer_id]
-            if peer is session or not peer.active or peer.leg_state is None:
+            if peer is session or peer.leg_state is None:
                 continue
             if peer_id in self._discovered[session.node]:
                 continue
@@ -345,7 +360,8 @@ class LinkLayer:
 
     def _probe_success(self, a: _DiscoverySession, b: _DiscoverySession,
                        expect: tuple[int, int]) -> None:
-        if not (a.active and b.active):
+        # ending `a` cancels this probe; `b` may have ended since
+        if self._sessions.get(b.node) is not b:
             return
         if (a.leg_start, b.leg_start) != expect:
             return  # a leg changed under the pending probe
@@ -361,7 +377,7 @@ class LinkLayer:
         self.engine.log(b, EventClass.DISCOVERY, action="found", peer=a)
         for node in (a, b):
             session = self._sessions.get(node)
-            if session is None or not session.active:
+            if session is None:
                 continue
             if session.target is None or session.target in self._discovered[node]:
                 self._end_session(session)
@@ -369,17 +385,13 @@ class LinkLayer:
                     session.on_found(node, self._discovered[node])
 
     def _discovery_timeout(self, session: _DiscoverySession) -> None:
-        if not session.active:
-            return
         node = session.node
         self._end_session(session)
-        self._states[node] = DeviceState.IDLE
         self.engine.log(node, EventClass.DISCOVERY, action="timeout")
         if session.on_timeout is not None:
             session.on_timeout(node)
 
     def _end_session(self, session: _DiscoverySession) -> None:
-        session.active = False
         for handle in session.handles:
             handle.cancel()
         session.handles.clear()
@@ -397,16 +409,14 @@ class LinkLayer:
         for node in (initiator, responder):
             if self.in_group(node):
                 raise InvalidStateError(f"{node} is already in a group")
-            if self._states[node] is DeviceState.NEGOTIATING:
+            if node in self._negotiating:
                 raise InvalidStateError(f"{node} is already negotiating")
         if not self.topology.in_range(initiator, responder):
             raise OutOfRangeError(f"{initiator} and {responder} out of range")
 
         for node in (initiator, responder):
-            session = self._sessions.get(node)
-            if session is not None:
-                self._end_session(session)
-            self._states[node] = DeviceState.NEGOTIATING
+            self.abort_discovery(node)
+            self._negotiating.add(node)
 
         params = GoNegotiationParams(
             intent=self._intents[initiator],
@@ -418,7 +428,7 @@ class LinkLayer:
     def _nego_failed(self, initiator: NodeId, responder: NodeId, reason: str,
                      on_failed) -> None:
         for node in (initiator, responder):
-            self._states[node] = DeviceState.IDLE
+            self._negotiating.discard(node)
             self.engine.log(node, EventClass.NEGOTIATION, action="failed",
                             reason=reason)
         if on_failed is not None:
@@ -475,6 +485,7 @@ class LinkLayer:
             self._nego_failed(initiator, responder, "out_of_range", on_failed)
             return
         client = responder if owner == initiator else initiator
+        self._negotiating.difference_update((initiator, responder))
         channel = self._channels[owner]
         if channel is None:
             channel = self.engine.node_rng(owner).choice(SOCIAL_CHANNELS)
@@ -482,8 +493,7 @@ class LinkLayer:
         self._next_group_id += 1
         group.addresses[owner] = 1
         self.groups[group.group_id] = group
-        self._owns[owner] = group.group_id
-        self._states[owner] = DeviceState.GROUP_OWNER
+        self._owns[owner] = group
         self.engine.log(owner, EventClass.GROUP, action="formed",
                         group=group.group_id, channel=channel)
         self._admit(group, client, kind="client")
@@ -499,12 +509,11 @@ class LinkLayer:
         group.misses[node] = 0
         if kind == "client":
             group.clients.add(node)
-            self._member_of[node] = group.group_id
-            self._states[node] = DeviceState.GROUP_CLIENT
+            self._member_of[node] = group
             action = "join"
         else:
             group.legacy.add(node)
-            self._bridges.setdefault(node, set()).add(group.group_id)
+            self._bridges.setdefault(node, {})[group.group_id] = group
             action = "bridge"
         self.engine.log(node, EventClass.GROUP, action=action,
                         group=group.group_id, owner=group.owner, addr=addr)
@@ -515,26 +524,24 @@ class LinkLayer:
         if self.in_group(client):
             raise ForbiddenByRoleError(
                 f"{client} already belongs to a group and cannot join another")
-        if self._states[client] is DeviceState.NEGOTIATING:
+        if client in self._negotiating:
             raise InvalidStateError(f"{client} is negotiating")
         if group.group_id not in self.groups:
             raise NotInGroupError(f"group {group.group_id} no longer exists")
         if not self.topology.in_range(client, group.owner):
             raise OutOfRangeError(f"{client} out of range of owner {group.owner}")
-        session = self._sessions.get(client)
-        if session is not None:
-            self._end_session(session)
+        self.abort_discovery(client)
         return self._admit(group, client, kind="client")
 
     def bridge_attach(self, go_node: NodeId, foreign_group: Group) -> int:
         if self.config.bridging is BridgingPolicy.NONE:
             raise BridgingDisabledError("bridging policy is NONE")
-        if self._states.get(go_node) is not DeviceState.GROUP_OWNER:
+        if go_node not in self._owns:
             raise ForbiddenByRoleError(
                 f"{go_node} is not a group owner and cannot bridge")
         if foreign_group.group_id not in self.groups:
             raise NotInGroupError(f"group {foreign_group.group_id} no longer exists")
-        if foreign_group.group_id == self._owns.get(go_node):
+        if foreign_group.group_id == self._owns[go_node].group_id:
             raise InvalidStateError(f"{go_node} owns group {foreign_group.group_id}")
         if go_node in foreign_group.legacy:
             raise InvalidStateError(f"{go_node} already attached")
@@ -544,14 +551,20 @@ class LinkLayer:
         return self._admit(foreign_group, go_node, kind="legacy")
 
     def leave_group(self, node: NodeId) -> None:
-        if node in self._owns:
-            self.dissolve_group(self.groups[self._owns[node]], reason="owner_left")
+        """An owner leaving dissolves its group; a client leaving may empty
+        it.  Nothing in a simulation calls it: the link-layer and transfer
+        tests do, and a scripted fuzzer would."""
+        group = self._owns.get(node)
+        if group is not None:
+            self.dissolve_group(group, reason="owner_left")
             return
-        gid = self._member_of.get(node)
-        if gid is None:
+        group = self._member_of.get(node)
+        if group is None:
             raise NotInGroupError(f"{node} is not in a group")
-        group = self.groups[gid]
-        self._remove_member(group, node, traced_as="leave")
+        self._detach(group, node)
+        self.engine.log(node, EventClass.GROUP, action="leave",
+                        group=group.group_id)
+        self.upper.link_down(group.owner, node)
         if not group.members():
             self.dissolve_group(group, reason="empty")
 
@@ -563,8 +576,6 @@ class LinkLayer:
             self.upper.link_down(group.owner, member)
         del self.groups[group.group_id]
         self._owns.pop(group.owner, None)
-        if self._states[group.owner] is DeviceState.GROUP_OWNER:
-            self._states[group.owner] = DeviceState.IDLE
         self.engine.log(group.owner, EventClass.GROUP, action="dissolved",
                         group=group.group_id, reason=reason)
 
@@ -572,18 +583,11 @@ class LinkLayer:
         group.clients.discard(member)
         if member in group.legacy:
             group.legacy.discard(member)
-            self._bridges.get(member, set()).discard(group.group_id)
+            self._bridges[member].pop(group.group_id, None)
         group.addresses.pop(member, None)
         group.misses.pop(member, None)
-        if self._member_of.get(member) == group.group_id:
+        if self._member_of.get(member) is group:
             del self._member_of[member]
-            self._states[member] = DeviceState.IDLE
-
-    def _remove_member(self, group: Group, member: NodeId, traced_as: str) -> None:
-        self._detach(group, member)
-        self.engine.log(member, EventClass.GROUP, action=traced_as,
-                        group=group.group_id)
-        self.upper.link_down(group.owner, member)
 
     # ------------------------------------------------------------------
     # keepalive and eviction
@@ -669,22 +673,34 @@ class LinkLayer:
         self.upper._on_frame(dst, frame)
 
     # ------------------------------------------------------------------
-    # invariants (used by tests)
+    # invariants (used by tests and the benchmark's check mode)
 
     def check_consistency(self) -> None:
-        for gid, group in self.groups.items():
-            assert group.owner not in group.clients
-            assert self._states[group.owner] is DeviceState.GROUP_OWNER
-            assert group.addresses[group.owner] == 1
-            addrs = list(group.addresses.values())
-            assert len(addrs) == len(set(addrs)), "duplicate address in group"
-            for client in group.clients:
-                assert self._member_of.get(client) == gid
-                assert self._states[client] is DeviceState.GROUP_CLIENT
-            for go in group.legacy:
-                assert gid in self._bridges.get(go, set())
-                assert self._states[go] is DeviceState.GROUP_OWNER
-        for node, gid in self._member_of.items():
-            assert node in self.groups[gid].clients
-        for node, gid in self._owns.items():
-            assert self.groups[gid].owner == node
+        """Raise one AssertionError naming every broken invariant; an
+        explicit raise, so the check also runs under `python -O`."""
+        checks = []  # (what is broken if it fails, whether it holds)
+        for gid, g in self.groups.items():
+            addrs = list(g.addresses.values())
+            checks += [(f"group {gid}: {what}", ok) for what, ok in [
+                ("owner is a client", g.owner not in g.clients),
+                (f"{g.owner} does not own it", self._owns.get(g.owner) is g),
+                ("owner address is not 1", g.addresses.get(g.owner) == 1),
+                ("duplicate address", len(addrs) == len(set(addrs))),
+                *[(f"client {n} is not its member",
+                   self._member_of.get(n) is g) for n in sorted(g.clients)],
+                *[(f"bridged {n} is not an owner with a bridge to it",
+                   n in self._owns and gid in self._bridges.get(n, ()))
+                  for n in sorted(g.legacy)]]]
+        checks += [(f"client {n}: group {g.group_id} is gone or lacks it",
+                    self.groups.get(g.group_id) is g and n in g.clients)
+                   for n, g in self._member_of.items()]
+        checks += [(f"owner {n}: group {g.group_id} is gone or not its",
+                    self.groups.get(g.group_id) is g and g.owner == n)
+                   for n, g in self._owns.items()]
+        checks += [(f"{n} owns a group and is a client",
+                    n not in self._member_of) for n in self._owns]
+        checks += [(f"{n} negotiates while in a group", not self.in_group(n))
+                   for n in sorted(self._negotiating)]
+        bad = [what for what, ok in checks if not ok]
+        if bad:
+            raise AssertionError("; ".join(bad))

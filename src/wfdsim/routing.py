@@ -215,9 +215,6 @@ class RoutingTable:
     def destinations(self) -> list[NodeId]:
         return sorted(self.entries)
 
-    def valid_destinations(self) -> list[NodeId]:
-        return sorted(d for d, slots in self.entries.items() if slots[0].valid)
-
     def snapshot(self) -> dict[NodeId, tuple[NodeId, int, int]]:
         """dest -> (next_hop, hop_count, seq_no) of the primary, valid only."""
         return {d: (s[0].next_hop, s[0].hop_count, s[0].seq_no)
@@ -516,7 +513,7 @@ class RoutingAgent:
 
     def _on_advert(self, advert: TableAdvert, sent_at: int) -> None:
         now = self.engine.now()
-        if advert.sender not in self.transfer.link_peers(self.node):
+        if not self.transfer.linked(self.node, advert.sender):
             self.engine.log(self.node, EventClass.DROP, reason="non_neighbor",
                             src=advert.sender)
             return

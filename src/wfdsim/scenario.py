@@ -104,9 +104,6 @@ class Scenario:
     mobility: list[MobilityStep] = field(default_factory=list)
     traffic: list[TrafficSpec] = field(default_factory=list)
 
-    def node_ids(self) -> list[str]:
-        return [n.id for n in self.nodes]
-
 
 def bundled_scenario_path(name: str):
     """Resolve a bundled scenario name (e.g. 'chain4') to its file path."""

@@ -35,13 +35,11 @@ class Simulation:
             self.topology.add_node(spec.id, spec.pos, spec.radio)
         self.linklayer = LinkLayer(self.engine, self.topology, sim.link)
         self.transfer = TransferLayer(self.engine, self.linklayer)
-        self.agents: dict[NodeId, RoutingAgent] = {}
+        self.agents = self.transfer.agents
         for spec in scenario.nodes:
             self.linklayer.register_node(spec.id, spec.go_intent, spec.channel)
-            agent = RoutingAgent(spec.id, self.engine, spec.energy_cost,
-                                 sim.routing)
-            self.agents[spec.id] = agent
-            self.transfer.attach_agent(agent)
+            self.transfer.attach_agent(RoutingAgent(
+                spec.id, self.engine, spec.energy_cost, sim.routing))
 
         self._advert_period_us = sim.routing.advert_period_us
         call_later = self.engine.call_later

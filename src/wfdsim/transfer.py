@@ -112,24 +112,18 @@ class TransferLayer(LinkEvents):
         if not self.linklayer.topology.in_range(local, peer):
             raise OutOfRangeError(f"{local} and {peer} are out of range")
         ll = self.linklayer
+        for node, other in ((local, peer), (peer, local)):
+            group = ll.client_group(node)
+            if group is None:
+                continue
+            if group.owner == other:
+                return self._track(local, peer, ConnectionState.UP)
+            raise RoleConflictError(
+                f"{node} is a group client and may only talk to {group.owner}")
+
+        # neither is a client, so any state but these two is busy
         ls, ps = ll.state(local), ll.state(peer)
-
-        if ls is DeviceState.GROUP_CLIENT:
-            group = ll.client_group(local)
-            if group.owner == peer:
-                return self._track(local, peer, ConnectionState.UP)
-            raise RoleConflictError(
-                f"{local} is a group client and may only talk to {group.owner}")
-        if ps is DeviceState.GROUP_CLIENT:
-            group = ll.client_group(peer)
-            if group.owner == local:
-                return self._track(local, peer, ConnectionState.UP)
-            raise RoleConflictError(
-                f"{peer} is a group client and may only talk to {group.owner}")
-
-        busy = (DeviceState.SCAN, DeviceState.FIND_SEARCH,
-                DeviceState.FIND_LISTEN, DeviceState.NEGOTIATING)
-        if ls in busy or ps in busy:
+        if {ls, ps} - {DeviceState.IDLE, DeviceState.GROUP_OWNER}:
             raise InvalidStateError(f"{local} or {peer} is busy")
 
         conn = self._track(local, peer, ConnectionState.CONNECTING)
@@ -232,19 +226,15 @@ class TransferLayer(LinkEvents):
     def link_peers(self, node: NodeId) -> set[NodeId]:
         return self.linklayer.peers(node)
 
+    def linked(self, node: NodeId, peer: NodeId) -> bool:
+        """Whether node may unicast to peer right now."""
+        return self.linklayer.unicast_group(node, peer) is not None
+
     def broadcast_control(self, node: NodeId, msg) -> set[NodeId]:
         """One-hop broadcast of a control message into every group context
         of the node; returns the union of intended recipients."""
         reached: set[NodeId] = set()
-        groups = []
-        owned = self.linklayer.owned_group(node)
-        if owned is not None:
-            groups.append(owned)
-        client = self.linklayer.client_group(node)
-        if client is not None:
-            groups.append(client)
-        groups += self.linklayer.bridge_groups(node)
-        for group in groups:
+        for group in self.linklayer.contexts(node):
             reached |= self.linklayer.deliver_frame(
                 Frame(node, BROADCAST, group.group_id, CONTROL_FRAME_BITS, msg))
         return reached

@@ -62,7 +62,7 @@ def test_criterion_1_chain4_reproduction():
     assert sim.engine.now() < next_tick
     one_hop = {"A": ["B"], "B": ["A", "C"], "C": ["B", "D"], "D": ["C"]}
     for node, expected in one_hop.items():
-        assert sim.table(node).valid_destinations() == expected, \
+        assert sorted(sim.table(node).snapshot()) == expected, \
             f"{node} table after discovery is not exactly its neighbors"
         for dst in expected:
             assert sim.table(node).primary(dst).hop_count == 1
@@ -77,7 +77,7 @@ def test_criterion_1_chain4_reproduction():
         "D": {"A": 3, "B": 2, "C": 1},
     }
     for node, hops in chain_hops.items():
-        assert sim.table(node).valid_destinations() == sorted(hops)
+        assert sorted(sim.table(node).snapshot()) == sorted(hops)
         for dst, h in hops.items():
             assert sim.table(node).primary(dst).hop_count == h, \
                 f"{node}->{dst} expected {h} hops"
@@ -414,7 +414,7 @@ def test_criterion_8_determinism():
         sim = Simulation(scenario)
         summary = sim.run()
         tables = {n: {d: sim.table(n).primary(d).hop_count
-                      for d in sim.table(n).valid_destinations()}
+                      for d in sim.table(n).snapshot()}
                   for n in ("A", "B", "C", "D")}
         legs = trace_records(sim.trace, EventClass.DISCOVERY, "leg")
         return tables, summary.flows[0].path, legs, sim.trace.sha256()

@@ -335,6 +335,9 @@ class FakeTransfer:
     def link_peers(self, node):
         return set(self.peers)
 
+    def linked(self, node, peer):
+        return peer in self.peers
+
     def send_data(self, node, pkt, next_hop):
         self.sent.append((node, pkt, next_hop))
         return True
@@ -667,10 +670,10 @@ def test_skipping_full_dump_fold_matches_full_candidate_fold(first, steps):
 def test_chain_discovery_populates_one_hop_tables(chain4_sim):
     sim = chain4_sim
     sim.run_until(3 * SECOND)  # groups are up, bridge not yet
-    assert sim.table("A").valid_destinations() == ["B"]
-    assert sim.table("B").valid_destinations() == ["A"]
-    assert sim.table("C").valid_destinations() == ["D"]
-    assert sim.table("D").valid_destinations() == ["C"]
+    assert sorted(sim.table("A").snapshot()) == ["B"]
+    assert sorted(sim.table("B").snapshot()) == ["A"]
+    assert sorted(sim.table("C").snapshot()) == ["D"]
+    assert sorted(sim.table("D").snapshot()) == ["C"]
     for node, peer in (("A", "B"), ("B", "A"), ("C", "D"), ("D", "C")):
         entry = sim.table(node).primary(peer)
         assert entry.hop_count == 1

@@ -38,7 +38,7 @@ def variant(**overrides):
 
 def test_bundled_chain4_loads_with_generated_script():
     scenario = load_scenario("chain4")
-    assert scenario.node_ids() == ["A", "B", "C", "D"]
+    assert [n.id for n in scenario.nodes] == ["A", "B", "C", "D"]
     positions = [n.pos.x for n in scenario.nodes]
     assert positions == [0, 150, 300, 450]
     intents = {n.id: n.go_intent for n in scenario.nodes}
@@ -402,7 +402,7 @@ def test_readme_scenario_example_loads_and_builds():
                         re.S)
     assert len(blocks) == 1
     scenario = load_scenario(yaml.safe_load(blocks[0]))
-    assert scenario.node_ids() == ["A", "B"]
+    assert [n.id for n in scenario.nodes] == ["A", "B"]
     sim = Simulation(scenario)
     assert sim.topology.profile("B").data_rate_bps == 250_000_000
 
