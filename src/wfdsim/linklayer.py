@@ -552,8 +552,8 @@ class LinkLayer:
 
     def leave_group(self, node: NodeId) -> None:
         """An owner leaving dissolves its group; a client leaving may empty
-        it.  Nothing in a simulation calls it: the link-layer and transfer
-        tests do, and a scripted fuzzer would."""
+        it.  Nothing in a simulation calls it; the link-layer and transfer
+        tests do."""
         group = self._owns.get(node)
         if group is not None:
             self.dissolve_group(group, reason="owner_left")

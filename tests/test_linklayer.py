@@ -47,8 +47,7 @@ def test_discovery_requires_idle():
 
 
 def test_untargeted_discovery_that_finds_its_peer_can_start_again():
-    # the found node used to stay in FIND_* with no session, so
-    # start_discovery refused it for good
+    # finding its peer ends the node's session, so it reads IDLE again
     engine, _, ll = make_link_world({"a": (0, 0), "b": (100, 0)})
     ll.start_discovery("a")
     ll.start_discovery("b")
