@@ -1,10 +1,15 @@
 """Event engine: ordering, cancellation, clock semantics, seeded draws."""
 
+import math
+from enum import Enum, IntEnum
+from typing import Any
+
 import pytest
 from hypothesis import given, strategies as st
 
 from wfdsim.engine import (MS, SECOND, Engine, EventClass,
-                           RandomSource, uniform_duration)
+                           RandomSource, _line, uniform_duration)
+from wfdsim.routing import TrafficClass
 
 
 def test_schedule_fires_at_now_plus_delay():
@@ -73,6 +78,67 @@ def test_trace_line_format():
                                               size_bits=100))
     engine.run_until(1000)
     assert engine.trace.lines() == ["250 A DROP reason=lost dst=B size_bits=100"]
+
+
+# reference: the formatter as it was, one isinstance chain per value
+
+def reference_format_value(value: Any) -> str:
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, Enum):
+        return str(value.value)
+    if isinstance(value, float):
+        return format(value, "g")
+    if isinstance(value, (list, tuple)):
+        return ",".join(reference_format_value(v) for v in value)
+    return str(value)
+
+
+def reference_line(record: tuple) -> str:
+    time_us, node, event_class, details = record
+    parts = [str(time_us), node, event_class.value]
+    parts += [f"{k}={reference_format_value(v)}" for k, v in details.items()]
+    return " ".join(parts)
+
+
+class Level(IntEnum):
+    LOW = 1
+
+
+class Named(str, Enum):
+    A = "a"
+
+
+class Text(str):
+    def __str__(self):
+        return "text"
+
+
+_scalar = st.one_of(
+    st.text(max_size=6),
+    st.integers(-10**30, 10**30),
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-7, 0.5, 1e22]),
+    st.sampled_from(TrafficClass),
+    st.sampled_from(EventClass),
+    # subclasses take the old rules: an IntEnum, a str Enum, a str whose
+    # str() differs from its text
+    st.sampled_from([Level.LOW, Named.A, Text("raw")]),
+)
+_value = st.recursive(
+    _scalar, lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple), max_leaves=12)
+
+
+@given(st.integers(0, 10**12), st.text(min_size=1, max_size=4),
+       st.sampled_from(EventClass),
+       st.dictionaries(st.from_regex(r"[a-z_]{1,8}", fullmatch=True),
+                       _value, max_size=6))
+def test_line_matches_the_isinstance_chain_formatter(time_us, node,
+                                                     event_class, details):
+    record = (time_us, node, event_class, details)
+    assert _line(record) == reference_line(record)
 
 
 def test_random_source_streams_are_order_independent():

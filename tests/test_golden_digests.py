@@ -3,10 +3,14 @@ workloads must keep producing the exact same trace bytes.  A refactor that
 is meant to keep behaviour unchanged shows it here; a deliberate behaviour
 change updates these digests and says why."""
 
+import hashlib
+import io
+
 import pytest
 
 from wfdsim.scenario import load_scenario
 from wfdsim.simulation import Simulation
+from wfdsim.summary import build_summary
 
 from conftest import load_bench_module
 
@@ -76,3 +80,36 @@ def test_bench_workload_trace_digest_is_pinned(name):
     sim.run_until(scenario.sim.duration_us)
     assert sim.trace.sha256() == WORKLOAD_GOLDEN[name]
     assert sim.engine.steps == WORKLOAD_STEPS[name]
+
+
+# sha256 of `summary().to_text()` for each pinned trace: the trace digests
+# pin the formatter, these pin the parser that reads the trace back
+SUMMARY_GOLDEN = {
+    "chain4":
+        "9e03b6a6ed3f7a181dd53db2324799b2b360bbbfa8dcb694233e7a32c2b612b6",
+    "gc_pair":
+        "0931d23df3cdab6ab15a528a516efd3c224d0dc5ce8aa8ed68a8c02be5e74da0",
+    "two_groups_bridge":
+        "58e6375ee28df2d3f4aa19235ca26099009e7af97cde8574b4edf00704bc1cca",
+    "mobility_break":
+        "1e7587f7bf0162acbbf380ee25c0ba8d565db8b7ce5bb01b0f1228637dfc3553",
+    "chain_long":
+        "8f9106e868e187730d4f1bb7cf97535e1834d623745c5c12493c2d00e6507955",
+    "flows_many":
+        "b59a8fccf04fe8461f9a2de518eef2cb6eeb60ff4d8039fc4dfea490b54a3421",
+    "churn_grid":
+        "0946c45256c537b4d350e5fcefef600db01e4685a68fc34c12f07a3f6787988f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUMMARY_GOLDEN))
+def test_summary_digest_is_pinned_for_run_and_replay(name):
+    if name in WORKLOAD_GOLDEN:
+        sim = Simulation(load_scenario(_bench_workloads().generate(name, 1)))
+    else:
+        sim = Simulation.from_source(name)
+    text = sim.run().to_text()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+        SUMMARY_GOLDEN[name]
+    # `replay` reads the written trace back one "\n"-ended line at a time
+    assert build_summary(io.StringIO(sim.trace.dump())).to_text() == text
