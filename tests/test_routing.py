@@ -597,37 +597,67 @@ def test_full_dump_refolds_a_destination_whose_alternate_was_dropped():
 
 
 SENDERS = ["b", "x", "y"]
-_upstream = st.sampled_from(["b", "c", "d", "x", "y"])
-# half from few destinations, sequences and hop counts, so that the
-# senders' routes to one destination often tie and the receiver keeps
-# alternates
-_route_entry = _advert_entry | st.tuples(
-    st.sampled_from(["c", "d"]), st.sampled_from([2, 4]),
-    st.sampled_from([0, 1, INFINITE_HOPS]), st.sampled_from([0, 500, 1500]),
-    st.sampled_from([0.0, 0.5]))
+# routes are mostly learned from c, which every sender starts with
+_upstream = st.sampled_from(["c", "c", "c", "c", "b", "d", "x", "y"])
+
+
+def _contested(hops):
+    """An advert entry for d at `hops` and at the sequence its hearer holds
+    for d (None, see `at_held_seq`): every sender starts with one, so the
+    receiver's routes to d tie, it keeps alternates, and writes that touch
+    only an alternate matter."""
+    return st.tuples(st.just("d"), st.none(), st.just(hops),
+                     st.sampled_from([0, 500, 1000, 1500, 2000]),
+                     st.sampled_from([0.0, 0.5]))
+
+
+# a sender learns d from upstream at 0 hops and the receiver hears it
+# directly at 1 hop, so both reach the receiver at 2 hops and tie; other
+# entries leave d alone
+_other = _advert_entry.filter(lambda e: e[0] != "d")
+_learned = st.lists(_other | _contested(0) | _contested(0), min_size=1,
+                    max_size=4)
+_heard = st.lists(_other | _contested(1) | _contested(1), min_size=1,
+                  max_size=4)
+_first = st.tuples(_contested(0), st.lists(_other, max_size=4)).map(
+    lambda t: [("d", 4, *t[0][2:]), *t[1]])
+_learn = st.tuples(st.just("learn"), st.sampled_from(SENDERS), _upstream,
+                   _link, _learned)
+_hear = st.tuples(st.just("hear"), st.sampled_from(SENDERS), _link, _heard)
 _event = st.one_of(
     st.none(),
-    # a sender's table learns routes from an upstream neighbor
-    st.tuples(st.just("learn"), st.sampled_from(SENDERS), _upstream, _link,
-              st.lists(_route_entry, min_size=1, max_size=4)),
-    # a sender loses a neighbor
-    st.tuples(st.just("lose"), st.sampled_from(SENDERS), _upstream),
+    # a sender's table learns routes from an upstream neighbor; learning
+    # and hearing are listed twice, as they make the ties
+    _learn, _learn,
+    # a sender loses a neighbor, seldom c, through which it holds d
+    st.tuples(st.just("lose"), st.sampled_from(SENDERS),
+              st.sampled_from(["b", "d", "x", "y", "c"])),
     # the receiver loses a neighbor
     st.tuples(st.just("drop"), st.sampled_from(SENDERS)),
     # the receiver hears an incremental advert, which can also write
     # alternates only
-    st.tuples(st.just("hear"), st.sampled_from(SENDERS), _link,
-              st.lists(_route_entry, min_size=1, max_size=4)),
+    _hear, _hear,
 )
-# after the event a sender ticks; the receiver hears its advert over a new
-# link or the one it last heard that sender on (None), or misses it
-_step = st.tuples(_event, st.sampled_from(SENDERS), st.none() | _link,
-                  st.sampled_from([True, True, True, False]))
+# after the event every sender ticks, in some order; the receiver hears each
+# advert over a new link or the one it last heard that sender on (None), or
+# misses it
+_hearing = st.tuples(st.none() | _link, st.sampled_from([True, True, False]))
+_step = st.tuples(_event, st.permutations(SENDERS),
+                  st.tuples(*[_hearing] * len(SENDERS)))
 
 
-@given(st.fixed_dictionaries({n: st.lists(_route_entry, min_size=1,
-                                          max_size=5) for n in SENDERS}),
-       st.lists(_step, min_size=1, max_size=40))
+def at_held_seq(entries, table):
+    """entries with d's sequence set to the one table holds for d, or to
+    the next even one when table holds d invalidated: d's routes always
+    tie what the table holds, and revive after an invalidation."""
+    slots = table.entries.get("d")
+    held = slots[0].seq_no + slots[0].seq_no % 2 if slots else 4
+    return [(dest, held if seq is None else seq, *rest)
+            for dest, seq, *rest in entries]
+
+
+@given(st.fixed_dictionaries({n: _first for n in SENDERS}),
+       st.lists(_step, min_size=10, max_size=25))
 def test_skipping_full_dump_fold_matches_full_candidate_fold(first, steps):
     # b sends only full dumps; x and y alternate incremental and full
     senders = {n: advertiser(n, full_dump_every=1 if n == "b" else 2)
@@ -638,11 +668,12 @@ def test_skipping_full_dump_fold_matches_full_candidate_fold(first, steps):
     fast = agent_with({}, peers=SENDERS)[1]
     slow = agent_with({}, peers=SENDERS)[1]
     now = 0
-    for event, ticking, new_link, heard in steps:
+    for event, order, hearing in steps:
         now += 1
         kind = event[0] if event else None
         if kind == "learn" and event[2] != event[1]:
-            merge_advert(senders[event[1]].table, advert(event[2], event[4]),
+            table = senders[event[1]].table
+            merge_advert(table, advert(event[2], at_held_seq(event[4], table)),
                          event[3], now)
         elif kind == "lose":
             senders[event[1]].invalidate_neighbor(event[2])
@@ -650,18 +681,21 @@ def test_skipping_full_dump_fold_matches_full_candidate_fold(first, steps):
             assert fast.invalidate_neighbor(event[1]) == \
                 slow.invalidate_neighbor(event[1])
         elif kind == "hear":
-            msg = advert(event[1], event[3])
+            msg = advert(event[1], at_held_seq(event[3], fast.table))
             assert merge_advert(fast.table, msg, event[2], now) == \
                 reference_merge(slow.table, msg, event[2], now)
-        sent = tick(senders[ticking])
-        if sent is not None and heard:
-            msg = sent[0]
-            links[ticking] = link = new_link or links[ticking]
-            merge = merge_full_dump if msg.full_dump else merge_advert
-            assert merge(fast.table, msg, link, now) == \
-                reference_merge(slow.table, msg, link, now)
-        assert table_state(fast.table) == table_state(slow.table)
-        assert fast.table.dirty == slow.table.dirty
+        for ticking, (new_link, heard) in zip(order, hearing):
+            controls = senders[ticking].transfer.controls
+            sent = len(controls)
+            senders[ticking].advert_tick()
+            if len(controls) > sent and heard:
+                msg = controls[-1][2]
+                links[ticking] = link = new_link or links[ticking]
+                merge = merge_full_dump if msg.full_dump else merge_advert
+                assert merge(fast.table, msg, link, now) == \
+                    reference_merge(slow.table, msg, link, now)
+            assert table_state(fast.table) == table_state(slow.table)
+            assert fast.table.dirty == slow.table.dirty
 
 
 # ----------------------------------------------------------------------
