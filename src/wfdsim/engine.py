@@ -13,7 +13,12 @@ heap comparisons never reach `fn` and run entirely in C.  Cancelling sets
 
 The trace is write-only for the simulator: layers emit records into it,
 and it is read back only as text: by the summary (`summary.build_summary`)
-and, from a written trace file, by `wfdsim replay`.
+and, from a written trace file, by `wfdsim replay`.  A record is formatted
+after the loop, the first time the trace is read.  Each value is formatted
+by its exact type first: a `str` as it is, an `int` in decimal, a list or
+tuple element by element joined with commas.  Anything else (a `bool`, a
+`float`, an `Enum`, a subclass) goes through `isinstance` tests: `1`/`0`,
+`format(v, "g")`, the member's value, or `str()`.
 """
 
 from __future__ import annotations
@@ -57,6 +62,14 @@ class EventHandle:
 
 
 def _format_value(value: Any) -> str:
+    kind = type(value)
+    if kind is str:
+        return value
+    if kind is int:
+        return str(value)
+    if kind is list or kind is tuple:
+        return ",".join(map(_format_value, value))
+    # bool, float, Enum and subclasses: by isinstance
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, Enum):
@@ -64,15 +77,20 @@ def _format_value(value: Any) -> str:
     if isinstance(value, float):
         return format(value, "g")
     if isinstance(value, (list, tuple)):
-        return ",".join(_format_value(v) for v in value)
+        return ",".join(map(_format_value, value))
     return str(value)
 
 
 def _line(record: tuple) -> str:
     time_us, node, event_class, details = record
-    parts = [str(time_us), node, event_class.value]
-    parts += [f"{k}={_format_value(v)}" for k, v in details.items()]
-    return " ".join(parts)
+    line = f"{time_us} {node} {event_class.value}"
+    for key, value in details.items():
+        kind = type(value)
+        if kind is str or kind is int:
+            line += f" {key}={value}"
+        else:
+            line += f" {key}={_format_value(value)}"
+    return line
 
 
 class Trace:
@@ -100,6 +118,10 @@ class Trace:
 
     def lines(self) -> list[str]:
         return list(self._formatted())
+
+    def __iter__(self):
+        """The lines so far, without the copy `lines()` makes."""
+        return iter(self._formatted())
 
     def dump(self) -> str:
         lines = self._formatted()

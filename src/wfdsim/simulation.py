@@ -105,7 +105,7 @@ class Simulation:
         return self.summary()
 
     def summary(self) -> Summary:
-        return build_summary(self.engine.trace.lines())
+        return build_summary(self.engine.trace)
 
     # ------------------------------------------------------------------
     # conveniences for tests and callers

@@ -3,6 +3,14 @@
 `build_summary` consumes serialized trace lines (either fresh from a run or
 read back from a trace file) so the figures a run reports and the figures
 `replay` recomputes go through the identical code path.
+
+It parses by class first: each line is split into time, node, class and
+the rest, and the rest is split into `key=value` fields only for the
+classes the summary reads (FORWARD, DELIVER, DROP, `action=resp`
+DISCOVERY lines), and for ADVERT only the `action`, `full` and `n` fields;
+the long `entries` and `changed` values are never split.  The result is
+the one `parse_trace_line` gives field by field: the last of a repeated
+key wins and a field without `=` has the empty value.
 """
 
 from __future__ import annotations
@@ -73,46 +81,89 @@ _TERMINAL_DROPS = {"ttl_expired": "TTL_EXPIRED", "no_route": "NO_ROUTE",
                    "lost": "LOST"}
 
 
+def _fields(rest: str) -> dict[str, str]:
+    """The `key=value` fields after a line's class, as `parse_trace_line`
+    reads them (an empty rest gives the key "", which nothing reads)."""
+    return dict(part.partition("=")[::2] for part in rest.split(" "))
+
+
+_ADVERT_READS = ("action", "full", "n")
+
+
+def _advert_fields(rest: str) -> dict[str, str]:
+    """What the summary reads of an ADVERT line's fields: `action`, `full`
+    and `n`, as `_fields` reads them.  Only fields whose key may be one of
+    those are partitioned, so `entries` and `changed` are never split."""
+    fields: dict[str, str] = {}
+    for part in rest.split(" "):
+        if part.startswith(_ADVERT_READS):
+            key, _, value = part.partition("=")
+            fields[key] = value
+    return fields
+
+
 def build_summary(lines) -> Summary:
     """Summary of trace lines, each parsed when the loop reaches it; a
-    malformed line raises ValueError naming its 1-based line number."""
+    malformed line raises ValueError naming its 1-based line number.
+
+    A line is split into time, node, class and the rest first, and the
+    rest is split into fields only for the classes the summary reads."""
     summary = Summary()
+    adverts = summary.adverts
     flows: dict[int, FlowSummary] = {}
     starts: dict[int, int] = {}
 
     number, line = 0, ""
     try:
         for number, line in enumerate(lines, 1):
-            if not line.strip():
+            text = line.strip()
+            if not text:
                 continue
-            rec = parse_trace_line(line)
-            if rec.node not in summary.adverts:
-                summary.adverts[rec.node] = AdvertStats()
-            d = rec.details
-            if rec.event_class == "FORWARD":
+            head = text.split(" ", 3)
+            if len(head) < 3:
+                raise ValueError("fewer than three fields")
+            time_us = int(head[0])
+            node, event_class = head[1], head[2]
+            rest = head[3] if len(head) == 4 else ""
+            if node not in adverts:
+                adverts[node] = AdvertStats()
+            if event_class == "ADVERT":
+                d = _advert_fields(rest)
+                if d.get("action") == "tx":
+                    stats = adverts[node]
+                    stats.tx += 1
+                    stats.entries += int(d.get("n", 0))
+                    stats.full_dumps += 1 if d.get("full") == "1" else 0
+                elif d.get("action") == "rx":
+                    summary.convergence_us = max(summary.convergence_us,
+                                                 time_us)
+            elif event_class == "FORWARD":
+                d = _fields(rest)
                 app_seq = int(d["app_seq"])
-                if d["src"] == rec.node and app_seq not in flows:
+                if d["src"] == node and app_seq not in flows:
                     flows[app_seq] = FlowSummary(app_seq, d["src"], d["dst"],
                                                  d.get("cls", "-"))
-                    starts[app_seq] = rec.time_us
+                    starts[app_seq] = time_us
                 flow = flows.get(app_seq)
                 if flow is not None and flow.outcome == "LOST" and \
                         d["src"] == flow.src:
-                    flow.path.append(rec.node)
-            elif rec.event_class == "DELIVER":
+                    flow.path.append(node)
+            elif event_class == "DELIVER":
+                d = _fields(rest)
                 app_seq = int(d["app_seq"])
                 flow = flows.get(app_seq)
                 if flow is None:
                     # self-send or delivery without a source-side FORWARD
-                    flow = FlowSummary(app_seq, d["src"], rec.node,
+                    flow = FlowSummary(app_seq, d["src"], node,
                                        d.get("cls", "-"))
                     flows[app_seq] = flow
-                    starts[app_seq] = rec.time_us
+                    starts[app_seq] = time_us
                 if flow.outcome == "LOST" and flow.latency_us is None:
                     flow.outcome = "DELIVERED"
-                    flow.latency_us = rec.time_us - starts[app_seq]
-                    flow.path.append(rec.node)
-            elif rec.event_class == "DROP":
+                    flow.latency_us = time_us - starts[app_seq]
+                    flow.path.append(node)
+            elif event_class == "DROP":
+                d = _fields(rest)
                 reason = d.get("reason", "unknown")
                 summary.drops[reason] = summary.drops.get(reason, 0) + 1
                 if reason in _TERMINAL_DROPS and "app_seq" in d:
@@ -125,20 +176,14 @@ def build_summary(lines) -> Summary:
                     if flow is not None and flow.outcome == "LOST" and \
                             flow.latency_us is None:
                         flow.outcome = _TERMINAL_DROPS[reason]
-            elif rec.event_class == "ADVERT":
-                if d.get("action") == "tx":
-                    stats = summary.adverts[rec.node]
-                    stats.tx += 1
-                    stats.entries += int(d.get("n", 0))
-                    stats.full_dumps += 1 if d.get("full") == "1" else 0
-                elif d.get("action") == "rx":
-                    summary.convergence_us = max(summary.convergence_us,
-                                                 rec.time_us)
-            elif rec.event_class == "DISCOVERY":
-                if d.get("action") == "resp" and \
-                        d.get("changed", "-") != "-":
-                    summary.convergence_us = max(summary.convergence_us,
-                                                 rec.time_us)
+            elif event_class == "DISCOVERY":
+                # only an `action=resp` line is read
+                if "action=resp" in rest:
+                    d = _fields(rest)
+                    if d.get("action") == "resp" and \
+                            d.get("changed", "-") != "-":
+                        summary.convergence_us = max(summary.convergence_us,
+                                                     time_us)
     except (KeyError, ValueError) as exc:
         why = f"no {exc} field" if isinstance(exc, KeyError) else exc
         raise ValueError(f"line {number}: {why}: {line.strip()!r}") from None
