@@ -7,7 +7,7 @@ import dataclasses
 
 import networkx as nx
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wfdsim import routing
 from wfdsim.engine import SECOND, Engine, EventClass
@@ -616,16 +616,15 @@ def _contested(hops):
 # entries leave d alone
 _other = _advert_entry.filter(lambda e: e[0] != "d")
 _learned = st.lists(_other | _contested(0) | _contested(0), min_size=1,
-                    max_size=4)
+                    max_size=2)
 _heard = st.lists(_other | _contested(1) | _contested(1), min_size=1,
-                  max_size=4)
+                  max_size=2)
 _first = st.tuples(_contested(0), st.lists(_other, max_size=4)).map(
     lambda t: [("d", 4, *t[0][2:]), *t[1]])
 _learn = st.tuples(st.just("learn"), st.sampled_from(SENDERS), _upstream,
                    _link, _learned)
 _hear = st.tuples(st.just("hear"), st.sampled_from(SENDERS), _link, _heard)
 _event = st.one_of(
-    st.none(),
     # a sender's table learns routes from an upstream neighbor; learning
     # and hearing are listed twice, as they make the ties
     _learn, _learn,
@@ -656,6 +655,8 @@ def at_held_seq(entries, table):
             for dest, seq, *rest in entries]
 
 
+# the writes this test is for come up in about one example in fifty
+@settings(max_examples=250)
 @given(st.fixed_dictionaries({n: _first for n in SENDERS}),
        st.lists(_step, min_size=10, max_size=25))
 def test_skipping_full_dump_fold_matches_full_candidate_fold(first, steps):
