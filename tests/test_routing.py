@@ -614,7 +614,7 @@ def _contested(hops):
 # a sender learns d from upstream at 0 hops and the receiver hears it
 # directly at 1 hop, so both reach the receiver at 2 hops and tie; other
 # entries leave d alone
-_other = _advert_entry.filter(lambda e: e[0] != "d")
+_other = _advert_entry.map(lambda e: ("c", *e[1:]) if e[0] == "d" else e)
 _learned = st.lists(_other | _contested(0) | _contested(0), min_size=1,
                     max_size=2)
 _heard = st.lists(_other | _contested(1) | _contested(1), min_size=1,

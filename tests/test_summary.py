@@ -152,7 +152,7 @@ VALUES = {
     "reason": st.sampled_from(["lost", "no_route", "ttl_expired",
                                "non_neighbor", ""]),
     "action": st.sampled_from(["tx", "rx", "resp", "leg", "request", ""]),
-    "full": st.sampled_from(["1", "0", "1", "True", ""]),
+    "full": st.sampled_from(["1", "0", "1", "1", "True", ""]),
     "n": st.sampled_from(["0", "3", "128", "-2"]),
     "cost": st.sampled_from(["1", "0.5"]),
     "entries": st.sampled_from(["-", "a:2:0:0:0", "a:2:0:0:0,b:4:1:2000:1",
@@ -167,7 +167,8 @@ VALUES = {
 }
 # what the two classes that read `action` mostly hold in it
 CLASS_VALUES = {
-    "ADVERT": {"action": st.sampled_from(["tx", "tx", "rx", "resp", ""])},
+    "ADVERT": {"action": st.sampled_from(["tx", "rx", "tx", "rx", "resp",
+                                          ""])},
     "DISCOVERY": {"action": st.sampled_from(["resp", "resp", "leg", "rx",
                                              ""])},
 }
@@ -206,7 +207,7 @@ def fields(draw, event_class, rough):
 
 
 # the classes the summary reads come up more often
-CLASSES = sorted(CANONICAL) + ["ADVERT"] * 3 + ["DISCOVERY", "FORWARD",
+CLASSES = sorted(CANONICAL) + ["ADVERT"] * 4 + ["DISCOVERY", "FORWARD",
                                                 "DELIVER", "DROP"]
 
 
@@ -226,12 +227,12 @@ def trace_line(draw, rough):
         time = draw(st.sampled_from(times + ["x", "1.5"] * rough))
         tokens = [time, draw(_node), event_class,
                   *draw(fields(event_class, rough))]
-    # separators: mostly one space, sometimes a run of spaces
-    text = ""
-    for i, token in enumerate(tokens):
-        if i:
-            text += draw(st.sampled_from([" "] * 6 + ["  ", "   "]))
-        text += token
+    # one space between fields; in some lines one gap is a run of spaces
+    cut = draw(st.sampled_from([None] * 4 + [1, 2, 3, 4, 5]))
+    text = " ".join(tokens)
+    if cut is not None:
+        text = " ".join(tokens[:cut]) + draw(st.sampled_from(["  ", "   "])) \
+            + " ".join(tokens[cut:])
     lead = draw(st.sampled_from(["", "", "", " ", "  "]))
     end = draw(st.sampled_from(["", "\n", "", "\n", " ", " \n"]))
     return lead + text + end
@@ -239,11 +240,11 @@ def trace_line(draw, rough):
 
 @st.composite
 def trace_text(draw):
-    """Lines of trace text; one in four traces is rough: it may hold
+    """Lines of trace text; one in eight traces is rough: it may hold
     lines with fewer than three fields, non-integer times and counts, and
     records that lack a field the summary needs."""
-    rough = draw(st.sampled_from([False] * 3 + [True]))
-    return draw(st.lists(trace_line(rough), min_size=8, max_size=30))
+    rough = draw(st.sampled_from([False] * 7 + [True]))
+    return draw(st.lists(trace_line(rough), min_size=8, max_size=24))
 
 
 @given(trace_text())
