@@ -85,11 +85,7 @@ def _line(record: tuple) -> str:
     time_us, node, event_class, details = record
     line = f"{time_us} {node} {event_class.value}"
     for key, value in details.items():
-        kind = type(value)
-        if kind is str or kind is int:
-            line += f" {key}={value}"
-        else:
-            line += f" {key}={_format_value(value)}"
+        line += f" {key}={_format_value(value)}"
     return line
 
 

@@ -5,12 +5,12 @@ read back from a trace file) so the figures a run reports and the figures
 `replay` recomputes go through the identical code path.
 
 It parses by class first: each line is split into time, node, class and
-the rest, and the rest is split into `key=value` fields only for the
-classes the summary reads (FORWARD, DELIVER, DROP, `action=resp`
-DISCOVERY lines), and for ADVERT only the `action`, `full` and `n` fields;
-the long `entries` and `changed` values are never split.  The result is
-the one `parse_trace_line` gives field by field: the last of a repeated
-key wins and a field without `=` has the empty value.
+the rest, and the rest becomes a `key=value` dict only for the classes the
+summary reads (FORWARD, DELIVER, DROP, `action=resp` DISCOVERY lines).  Of
+an ADVERT line only the fields whose key may be `action`, `full` or `n`
+are partitioned, so the long `entries` and `changed` values never are.
+What is read is what `parse_trace_line` gives field by field: the last of
+a repeated key wins and a field without `=` has the empty value.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ _ADVERT_READS = ("action", "full", "n")
 def _advert_fields(rest: str) -> dict[str, str]:
     """What the summary reads of an ADVERT line's fields: `action`, `full`
     and `n`, as `_fields` reads them.  Only fields whose key may be one of
-    those are partitioned, so `entries` and `changed` are never split."""
+    those are partitioned."""
     fields: dict[str, str] = {}
     for part in rest.split(" "):
         if part.startswith(_ADVERT_READS):
@@ -104,10 +104,7 @@ def _advert_fields(rest: str) -> dict[str, str]:
 
 def build_summary(lines) -> Summary:
     """Summary of trace lines, each parsed when the loop reaches it; a
-    malformed line raises ValueError naming its 1-based line number.
-
-    A line is split into time, node, class and the rest first, and the
-    rest is split into fields only for the classes the summary reads."""
+    malformed line raises ValueError naming its 1-based line number."""
     summary = Summary()
     adverts = summary.adverts
     flows: dict[int, FlowSummary] = {}

@@ -7,7 +7,7 @@ import dataclasses
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wfdsim import routing
 from wfdsim.engine import SECOND, Engine, EventClass
@@ -655,8 +655,9 @@ def at_held_seq(entries, table):
             for dest, seq, *rest in entries]
 
 
-# the writes this test is for come up in about one example in fifty
-@settings(max_examples=250)
+# the writes this test is for come up in about one example in fifty; each
+# example draws a few hundred values, which can pass the too_slow limit
+@settings(max_examples=250, suppress_health_check=[HealthCheck.too_slow])
 @given(st.fixed_dictionaries({n: _first for n in SENDERS}),
        st.lists(_step, min_size=10, max_size=25))
 def test_skipping_full_dump_fold_matches_full_candidate_fold(first, steps):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wfdsim.simulation import Simulation
 from wfdsim.summary import (AdvertStats, FlowSummary, Summary,
@@ -247,6 +247,8 @@ def trace_text(draw):
     return draw(st.lists(trace_line(rough), min_size=8, max_size=24))
 
 
+# each example draws a few hundred values, which can pass the too_slow limit
+@settings(suppress_health_check=[HealthCheck.too_slow])
 @given(trace_text())
 def test_build_summary_matches_the_field_by_field_reference(lines):
     assert outcome(build_summary, lines) == \
