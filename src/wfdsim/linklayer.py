@@ -75,16 +75,6 @@ class BridgingPolicy(Enum):
     NONE = "NONE"
 
 
-@dataclass(frozen=True)
-class GoNegotiationParams:
-    intent: int
-    tie_breaker: int
-
-    def __post_init__(self):
-        if not 0 <= self.intent <= 15:
-            raise ValueError(f"GO intent {self.intent} outside 0..15")
-
-
 @dataclass
 class LinkConfig:
     scan_us: int = 500 * MS
@@ -418,12 +408,11 @@ class LinkLayer:
             self.abort_discovery(node)
             self._negotiating.add(node)
 
-        params = GoNegotiationParams(
-            intent=self._intents[initiator],
-            tie_breaker=self.engine.node_rng(initiator).getrandbits(1))
+        tie = self.engine.node_rng(initiator).getrandbits(1)
         mac = self.topology.profile(initiator).per_hop_mac_latency_us
         self.engine.call_later(mac, self._nego_request, initiator, responder,
-                               params, on_complete, on_failed)
+                               self._intents[initiator], tie, on_complete,
+                               on_failed)
 
     def _nego_failed(self, initiator: NodeId, responder: NodeId, reason: str,
                      on_failed) -> None:
@@ -434,36 +423,37 @@ class LinkLayer:
         if on_failed is not None:
             on_failed(initiator, responder, reason)
 
-    def _nego_request(self, initiator, responder, params, on_complete, on_failed):
+    def _nego_request(self, initiator, responder, intent, tie, on_complete,
+                      on_failed):
         if not self.topology.in_range(initiator, responder):
             self._nego_failed(initiator, responder, "out_of_range", on_failed)
             return
         self.engine.log(responder, EventClass.NEGOTIATION, action="request",
-                        peer=initiator, intent=params.intent,
-                        tie=params.tie_breaker)
+                        peer=initiator, intent=intent, tie=tie)
         resp_intent = self._intents[responder]
         mac = self.topology.profile(responder).per_hop_mac_latency_us
-        if params.intent == 15 and resp_intent == 15:
+        if intent == 15 and resp_intent == 15:
             # both insist on the GO role: negotiation fails at the response
             self.engine.call_later(mac, self._nego_failed, initiator,
                                    responder, "intent_conflict", on_failed)
             return
         self.engine.call_later(mac, self._nego_response, initiator, responder,
-                               params, resp_intent, on_complete, on_failed)
+                               intent, tie, resp_intent, on_complete,
+                               on_failed)
 
-    def _nego_response(self, initiator, responder, params, resp_intent,
+    def _nego_response(self, initiator, responder, intent, tie, resp_intent,
                        on_complete, on_failed):
         if not self.topology.in_range(initiator, responder):
             self._nego_failed(initiator, responder, "out_of_range", on_failed)
             return
         self.engine.log(initiator, EventClass.NEGOTIATION, action="response",
                         peer=responder, intent=resp_intent)
-        if params.intent > resp_intent:
+        if intent > resp_intent:
             owner = initiator
-        elif resp_intent > params.intent:
+        elif resp_intent > intent:
             owner = responder
         else:
-            owner = initiator if params.tie_breaker else responder
+            owner = initiator if tie else responder
         mac = self.topology.profile(initiator).per_hop_mac_latency_us
         self.engine.call_later(mac, self._nego_confirm, initiator, responder,
                                owner, on_complete, on_failed)

@@ -61,10 +61,6 @@ class NoRouteError(RoutingError):
     pass
 
 
-class NoLinkError(RoutingError):
-    pass
-
-
 class TrafficClass(Enum):
     REAL_TIME = "REAL_TIME"  # minimize path latency
     BULK = "BULK"            # minimize path energy
@@ -411,8 +407,6 @@ class RoutingAgent:
     # neighbor discovery (request/response over one hop)
 
     def broadcast_discovery_request(self) -> None:
-        if not self.transfer.link_peers(self.node):
-            raise NoLinkError(f"{self.node} has no link-layer peers")
         msg = DiscoveryRequest(self.node, self.engine.now())
         recipients = self.transfer.broadcast_control(self.node, msg)
         self.engine.log(self.node, EventClass.DISCOVERY, action="req",

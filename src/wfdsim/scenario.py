@@ -25,6 +25,7 @@ bridges consecutive group owners.
 from __future__ import annotations
 
 import math
+import os
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -127,8 +128,10 @@ def load_scenario(source) -> Scenario:
 
 
 def _read(source) -> str:
+    """A scenario file's text; a bare name that is no file names a bundled
+    scenario."""
     path = str(source)
-    if _ID_RE.match(path) and "." not in path:
+    if _ID_RE.match(path) and not os.path.isfile(path):
         return bundled_scenario_path(path).read_text(encoding="utf-8")
     try:
         with open(path, "r", encoding="utf-8") as fh:

@@ -9,29 +9,13 @@ the rest, and the rest becomes a `key=value` dict only for the classes the
 summary reads (FORWARD, DELIVER, DROP, `action=resp` DISCOVERY lines).  Of
 an ADVERT line only the fields whose key may be `action`, `full` or `n`
 are partitioned, so the long `entries` and `changed` values never are.
-What is read is what `parse_trace_line` gives field by field: the last of
-a repeated key wins and a field without `=` has the empty value.
+A field is read as `key=value`: the last of a repeated key wins, and a
+field without `=` has the empty value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-
-@dataclass
-class ParsedRecord:
-    time_us: int
-    node: str
-    event_class: str
-    details: dict[str, str]
-
-
-def parse_trace_line(line: str) -> ParsedRecord:
-    parts = line.strip().split(" ")
-    if len(parts) < 3:
-        raise ValueError("fewer than three fields")
-    details = dict(part.partition("=")[::2] for part in parts[3:])
-    return ParsedRecord(int(parts[0]), parts[1], parts[2], details)
 
 
 @dataclass
@@ -82,8 +66,8 @@ _TERMINAL_DROPS = {"ttl_expired": "TTL_EXPIRED", "no_route": "NO_ROUTE",
 
 
 def _fields(rest: str) -> dict[str, str]:
-    """The `key=value` fields after a line's class, as `parse_trace_line`
-    reads them (an empty rest gives the key "", which nothing reads)."""
+    """The `key=value` fields after a line's class (an empty rest gives
+    the key "", which nothing reads)."""
     return dict(part.partition("=")[::2] for part in rest.split(" "))
 
 

@@ -8,6 +8,9 @@ context of the sending node.  The transfer layer is the link layer's one
 upper layer (`LinkEvents`): it sets itself as `LinkLayer.upper` and hands
 arrivals, losses and link changes on to the routing agents.
 
+A connect's outcome is its `CONNECT` records (`request`, then `up` or
+`failed`); the transfer layer keeps no connection state of its own.
+
 A delivery report's path is the one the packet recorded on itself as it
 was forwarded (`Packet.path`), plus the node that delivered it; the
 transfer layer never reads the trace back.
@@ -31,20 +34,6 @@ class TransferError(Exception):
 
 class RoleConflictError(TransferError):
     pass
-
-
-class ConnectionState(Enum):
-    CONNECTING = "CONNECTING"
-    UP = "UP"
-    CLOSED = "CLOSED"
-
-
-@dataclass
-class Connection:
-    local: NodeId
-    peer: NodeId
-    state: ConnectionState = ConnectionState.CONNECTING
-    reason: str = ""
 
 
 class DeliveryOutcome(Enum):
@@ -87,7 +76,6 @@ class TransferLayer(LinkEvents):
         self.engine = engine
         self.linklayer = linklayer
         self.agents: dict[NodeId, RoutingAgent] = {}
-        self.connections: list[Connection] = []
         self._dedup: dict[NodeId, tuple[deque, set]] = {}
         self._next_app_seq = 0
         self._pending: dict[int, _PendingFlow] = {}
@@ -103,7 +91,7 @@ class TransferLayer(LinkEvents):
     # ------------------------------------------------------------------
     # connection management
 
-    def connect(self, local: NodeId, peer: NodeId) -> Connection:
+    def connect(self, local: NodeId, peer: NodeId) -> None:
         """Compose whatever link-layer flow the endpoint roles require:
         discovery + GO negotiation for two idle nodes, a join when one side
         already owns a group, a bridge when both do."""
@@ -117,7 +105,9 @@ class TransferLayer(LinkEvents):
             if group is None:
                 continue
             if group.owner == other:
-                return self._track(local, peer, ConnectionState.UP)
+                self.engine.log(local, EventClass.CONNECT, action="up",
+                                peer=peer)
+                return
             raise RoleConflictError(
                 f"{node} is a group client and may only talk to {group.owner}")
 
@@ -126,7 +116,6 @@ class TransferLayer(LinkEvents):
         if {ls, ps} - {DeviceState.IDLE, DeviceState.GROUP_OWNER}:
             raise InvalidStateError(f"{local} or {peer} is busy")
 
-        conn = self._track(local, peer, ConnectionState.CONNECTING)
         self.engine.log(local, EventClass.CONNECT, action="request", peer=peer)
 
         if ls is DeviceState.GROUP_OWNER and ps is DeviceState.GROUP_OWNER:
@@ -136,64 +125,54 @@ class TransferLayer(LinkEvents):
         elif ls is DeviceState.GROUP_OWNER:
             attach, node, group = ll.join_group, peer, ll.owned_group(local)
         else:
-            self._discover_then_negotiate(conn)
-            return conn
-        self.engine.call_later(ll.config.wps_us, self._finish, conn, attach,
-                               node, group)
-        return conn
+            self._discover_then_negotiate(local, peer)
+            return
+        self.engine.call_later(ll.config.wps_us, self._finish, local, peer,
+                               attach, node, group)
 
-    def _track(self, local, peer, state) -> Connection:
-        conn = Connection(local, peer, state)
-        self.connections.append(conn)
-        if state is ConnectionState.UP:
-            self.engine.log(local, EventClass.CONNECT, action="up", peer=peer)
-        return conn
-
-    def _conn_up(self, conn: Connection) -> None:
-        conn.state = ConnectionState.UP
-        self.engine.log(conn.local, EventClass.CONNECT, action="up",
-                        peer=conn.peer)
-
-    def _conn_failed(self, conn: Connection, reason: str) -> None:
-        if conn.state is not ConnectionState.CONNECTING:
-            return  # both discovery sessions time out at the same instant
-        conn.state = ConnectionState.CLOSED
-        conn.reason = reason
-        self.engine.log(conn.local, EventClass.CONNECT, action="failed",
-                        peer=conn.peer, reason=reason)
-
-    def _finish(self, conn: Connection, attach, node: NodeId, group) -> None:
+    def _finish(self, local: NodeId, peer: NodeId, attach, node: NodeId,
+                group) -> None:
         """Join or bridge `node` into `group` once WPS is done."""
         try:
             attach(node, group)
         except LinkError as exc:  # policy, role or range changed meanwhile
-            self._conn_failed(conn, type(exc).__name__)
+            self.engine.log(local, EventClass.CONNECT, action="failed",
+                            peer=peer, reason=type(exc).__name__)
             return
-        self._conn_up(conn)
+        self.engine.log(local, EventClass.CONNECT, action="up", peer=peer)
 
-    def _discover_then_negotiate(self, conn: Connection) -> None:
+    def _discover_then_negotiate(self, local: NodeId, peer: NodeId) -> None:
         """Discovery is recorded on both ends, and negotiating (or aborting
         after it fails) ends both sessions, so `on_found` runs at most once
         per connect and only once each side has found the other."""
-        ll = self.linklayer
-        local, peer = conn.local, conn.peer
+        ll, log = self.linklayer, self.engine.log
+        failed = False
+
+        def fail(reason):
+            # both sessions time out at the same instant: log that once
+            nonlocal failed
+            if not failed:
+                failed = True
+                log(local, EventClass.CONNECT, action="failed", peer=peer,
+                    reason=reason)
 
         def on_found(node, discovered):
             try:
                 ll.negotiate_go(local, peer,
-                                on_complete=lambda group: self._conn_up(conn),
-                                on_failed=lambda i, r, reason:
-                                self._conn_failed(conn, reason))
+                                on_complete=lambda group: log(
+                                    local, EventClass.CONNECT, action="up",
+                                    peer=peer),
+                                on_failed=lambda i, r, reason: fail(reason))
             except LinkError as exc:
                 # the pair may be left from an earlier discovery and the
                 # peer gone since; end both sessions so neither node is
                 # left in FIND_*
                 ll.abort_discovery(local)
                 ll.abort_discovery(peer)
-                self._conn_failed(conn, type(exc).__name__)
+                fail(type(exc).__name__)
 
         def on_timeout(node):
-            self._conn_failed(conn, "discovery_timeout")
+            fail("discovery_timeout")
 
         ll.start_discovery(local, target=peer, on_found=on_found,
                            on_timeout=on_timeout)
@@ -214,17 +193,9 @@ class TransferLayer(LinkEvents):
             agent = self.agents.get(node)
             if agent is not None:
                 agent.on_link_down(peer)
-        for conn in self.connections:
-            if conn.state is ConnectionState.UP and \
-                    {conn.local, conn.peer} == {a, b}:
-                conn.state = ConnectionState.CLOSED
-                conn.reason = "link_down"
 
     # ------------------------------------------------------------------
     # frame plane
-
-    def link_peers(self, node: NodeId) -> set[NodeId]:
-        return self.linklayer.peers(node)
 
     def linked(self, node: NodeId, peer: NodeId) -> bool:
         """Whether node may unicast to peer right now."""
@@ -280,8 +251,7 @@ class TransferLayer(LinkEvents):
     # application interface
 
     def app_send(self, src: NodeId, dst: NodeId, payload_bits: int,
-                 traffic_class: TrafficClass = TrafficClass.REAL_TIME,
-                 ttl: int | None = None) -> int:
+                 traffic_class: TrafficClass = TrafficClass.REAL_TIME) -> int:
         if src not in self.agents:
             raise KeyError(f"unknown node {src!r}")
         app_seq = self._next_app_seq
@@ -292,8 +262,8 @@ class TransferLayer(LinkEvents):
                                                   None)
             self.deliver_local(src, pkt)
             return app_seq
-        ttl = ttl if ttl is not None else self.agents[src].config.default_ttl
-        pkt = Packet(src, dst, app_seq, ttl, traffic_class, payload_bits)
+        pkt = Packet(src, dst, app_seq, self.agents[src].config.default_ttl,
+                     traffic_class, payload_bits)
         handle = self.engine.call_later(REPORT_TIMEOUT_US, self._finalize,
                                         app_seq, DeliveryOutcome.LOST)
         self._pending[app_seq] = _PendingFlow(src, dst, self.engine.now(),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import pathlib
 import types
+from dataclasses import dataclass
 
 import pytest
 
@@ -13,7 +14,6 @@ from wfdsim.linklayer import LinkLayer, LinkConfig
 from wfdsim.scenario import (NodeSpec, Scenario, ScriptDirective, SimSettings,
                              TrafficSpec)
 from wfdsim.simulation import Simulation
-from wfdsim.summary import parse_trace_line
 from wfdsim.topology import Position, Topology
 
 # `pythonpath` in pyproject.toml puts src/ on sys.path of the test process
@@ -34,6 +34,24 @@ def load_bench_module(stem: str) -> types.ModuleType:
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
          module.__dict__)
     return module
+
+
+@dataclass
+class ParsedRecord:
+    time_us: int
+    node: str
+    event_class: str
+    details: dict[str, str]
+
+
+def parse_trace_line(line: str) -> ParsedRecord:
+    """One trace line, every field after the class as `key=value` (the last
+    of a repeated key wins, a field without `=` has the empty value)."""
+    parts = line.strip().split(" ")
+    if len(parts) < 3:
+        raise ValueError("fewer than three fields")
+    details = dict(part.partition("=")[::2] for part in parts[3:])
+    return ParsedRecord(int(parts[0]), parts[1], parts[2], details)
 
 
 def trace_records(trace, event_class=None, action=None):

@@ -9,8 +9,8 @@ import pytest
 from wfdsim.engine import MS, SECOND, EventClass
 from wfdsim.linklayer import (BROADCAST, FIND_STATES, BridgingDisabledError,
                               BridgingPolicy, DeviceState, Frame,
-                              ForbiddenByRoleError, GoNegotiationParams,
-                              InvalidStateError, LinkConfig, LinkEvents,
+                              ForbiddenByRoleError, InvalidStateError,
+                              LinkConfig, LinkEvents,
                               NotInGroupError, OutOfRangeError,
                               _DiscoverySession)
 from wfdsim.topology import Position
@@ -239,8 +239,9 @@ def test_pair_drifting_apart_during_wps_fails_through_on_failed():
 
 
 def test_go_intent_range_validated():
-    with pytest.raises(ValueError):
-        GoNegotiationParams(intent=16, tie_breaker=0)
+    _, _, ll = make_link_world({})
+    with pytest.raises(ValueError, match="outside 0..15"):
+        ll.register_node("a", 16)
 
 
 # ----------------------------------------------------------------------

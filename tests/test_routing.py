@@ -332,9 +332,6 @@ class FakeTransfer:
         self.drops = []
         self.controls = []
 
-    def link_peers(self, node):
-        return set(self.peers)
-
     def linked(self, node, peer):
         return peer in self.peers
 
@@ -587,6 +584,21 @@ def test_full_dump_refolds_a_destination_whose_alternate_was_replaced():
     merge_advert(rx.table, advert("x", [("d", 4, 1, 2000, 1.0)]), LINK, 0)
     merge_full_dump(rx.table, tick(y)[0], LINK, 0)
     assert routes(rx.table, "d") == [("b", 2000), ("y", 3000)]
+
+
+def test_a_better_third_sender_replaces_the_worst_alternate_stamped():
+    rx, _ = alternate_scene()
+    table = rx.table
+    version = table.version
+    # z's equal-hop route (2200 us) beats the alternate via x (2500 us)
+    changed = merge_advert(table, advert("z", [("d", 4, 1, 200, 1.0)]),
+                           LINK, 0)
+    assert routes(table, "d") == [("b", 2000), ("z", 2200)]
+    assert changed == set()  # the primary, and so the advert, is unchanged
+    # the replacement is a table write: it moves the version and stamps d,
+    # so a later full dump from a sender is folded for d again
+    assert table.version > version
+    assert table.changed_at["d"] == table.version
 
 
 def test_full_dump_refolds_a_destination_whose_alternate_was_dropped():

@@ -338,6 +338,15 @@ def test_cli_validate_ok_and_failure(tmp_path, capsys):
     assert "duplicate node id" in capsys.readouterr().err
 
 
+def test_cli_reads_an_extensionless_file_before_a_bundled_name(
+        tmp_path, monkeypatch, capsys):
+    (tmp_path / "myscn").write_text(yaml.safe_dump(BASE))
+    monkeypatch.chdir(tmp_path)
+    assert main(["validate", "myscn"]) == 0
+    assert "ok" in capsys.readouterr().out
+    assert main(["validate", "chain4"]) == 0  # no such file: bundled
+
+
 def test_cli_missing_scenario_file_fails_cleanly(capsys):
     assert main(["run", "./does-not-exist.yaml"]) == 1
     assert "not found" in capsys.readouterr().err

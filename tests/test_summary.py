@@ -8,8 +8,6 @@ formed or not, must give the reference's `Summary` or its `ValueError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -17,25 +15,11 @@ from wfdsim.simulation import Simulation
 from wfdsim.summary import (AdvertStats, FlowSummary, Summary,
                             build_summary)
 
+from conftest import parse_trace_line
+
 
 # ----------------------------------------------------------------------
-# reference: the field-by-field parser
-
-@dataclass
-class ParsedRecord:
-    time_us: int
-    node: str
-    event_class: str
-    details: dict[str, str]
-
-
-def parse_trace_line(line: str) -> ParsedRecord:
-    parts = line.strip().split(" ")
-    if len(parts) < 3:
-        raise ValueError("fewer than three fields")
-    details = dict(part.partition("=")[::2] for part in parts[3:])
-    return ParsedRecord(int(parts[0]), parts[1], parts[2], details)
-
+# reference: every field of every line, through conftest's parser
 
 _TERMINAL_DROPS = {"ttl_expired": "TTL_EXPIRED", "no_route": "NO_ROUTE",
                    "lost": "LOST"}

@@ -6,8 +6,7 @@ import pytest
 from wfdsim.engine import MS, SECOND, EventClass
 from wfdsim.linklayer import DeviceState, LinkEvents, OutOfRangeError
 from wfdsim.routing import Packet, TrafficClass
-from wfdsim.transfer import (ConnectionState, DeliveryOutcome,
-                             RoleConflictError)
+from wfdsim.transfer import DeliveryOutcome, RoleConflictError
 from wfdsim.simulation import Simulation
 from wfdsim.topology import Position
 
@@ -23,6 +22,13 @@ def deliveries(sim, node):
             if r.node == node]
 
 
+def connect_outcomes(sim):
+    """(node, peer, action) of each `up` or `failed` CONNECT record."""
+    return [(r.node, r.details["peer"], r.details["action"])
+            for r in trace_records(sim.trace, EventClass.CONNECT)
+            if r.details["action"] != "request"]
+
+
 def pair_sim(**kwargs):
     return make_sim([("a", 0, 0, 9), ("b", 100, 0, 1)],
                     script=[(0, "connect", "a", "b")], **kwargs)
@@ -34,8 +40,7 @@ def pair_sim(**kwargs):
 def test_connect_two_idle_nodes_forms_group_and_goes_up():
     sim = pair_sim()
     sim.run_until(3 * SECOND)
-    conn = sim.transfer.connections[0]
-    assert conn.state is ConnectionState.UP
+    assert connect_outcomes(sim) == [("a", "b", "up")]
     assert sim.linklayer.state("a") is DeviceState.GROUP_OWNER
     assert sim.linklayer.state("b") is DeviceState.GROUP_CLIENT
 
@@ -81,17 +86,16 @@ def test_connect_two_owners_bridges():
                 (3, "connect", "b1", "b2")])
     sim.run_until(5 * SECOND)
     assert ("b1", "b2") in sim.linklayer.deliverable_pairs()
-    up = [c for c in sim.transfer.connections
-          if {c.local, c.peer} == {"b1", "b2"}]
-    assert up and up[0].state is ConnectionState.UP
+    assert ("b1", "b2", "up") in connect_outcomes(sim)
 
 
 def test_connection_closes_when_link_dies():
     sim = pair_sim(mobility=[(5, "b", 9000, 9000)], duration_s=12)
     sim.run_until(12 * SECOND)
-    conn = sim.transfer.connections[0]
-    assert conn.state is ConnectionState.CLOSED
-    assert conn.reason == "link_down"
+    # the connection ends in the keepalive eviction of the walked-off client
+    assert [(r.node, r.details["peer"]) for r in trace_records(
+        sim.trace, EventClass.GROUP, "evict")] == [("a", "b")]
+    assert sim.linklayer.unicast_group("a", "b") is None
 
 
 @pytest.mark.parametrize("seed", range(1, 9))
@@ -115,9 +119,8 @@ def test_stale_discovery_of_departed_peer_fails_the_connect(seed):
     assert ll.state("B") is DeviceState.IDLE
     assert ("C", "D") in ll.deliverable_pairs()
     ll.check_consistency()
-    second = [c for c in sim.transfer.connections
-              if (c.local, c.peer) == ("A", "B")][-1]
-    assert second.state is ConnectionState.CLOSED
+    assert [o for o in connect_outcomes(sim) if o[:2] == ("A", "B")] == \
+        [("A", "B", "up"), ("A", "B", "failed")]
 
 
 def test_connect_fails_when_the_pair_drifts_apart_during_wps():
@@ -127,9 +130,6 @@ def test_connect_fails_when_the_pair_drifts_apart_during_wps():
         sim.run_until(sim.engine.now() + 1 * MS)
     sim.topology.apply_move("b", Position(5000, 0))  # WPS takes 200 ms
     sim.run_until(3 * SECOND)
-    conn = sim.transfer.connections[0]
-    assert (conn.state, conn.reason) == (ConnectionState.CLOSED,
-                                         "out_of_range")
     failed = [p for p in trace_records(sim.trace, EventClass.CONNECT)
               if p.details["action"] == "failed"]
     assert [(p.node, p.details["reason"]) for p in failed] == \
@@ -151,9 +151,6 @@ def test_discovery_timeout_fails_the_connect_once():
               if p.details["action"] == "failed"]
     assert [(p.node, p.details["reason"]) for p in failed] == \
         [("a", "discovery_timeout")]
-    conn = sim.transfer.connections[0]
-    assert (conn.state, conn.reason) == (ConnectionState.CLOSED,
-                                         "discovery_timeout")
 
 
 # ----------------------------------------------------------------------
