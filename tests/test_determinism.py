@@ -1,0 +1,69 @@
+"""Determinism guards against the environment: a run's trace may depend
+only on its scenario and seed, not on the hash seed of the interpreter
+(set iteration over string ids) nor on where the layout sits in the plane.
+
+Each guard runs in child processes, so `PYTHONHASHSEED` takes effect; -B
+writes no bytecode next to bench/."""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+from test_golden_digests import GOLDEN, WORKLOAD_GOLDEN
+
+WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "bench" / \
+    "workloads.py"
+SHIFT = (1000.0, -700.0)
+
+# the bundled scenarios and flows_many seed 1, each as given and with every
+# position and mobility target shifted by SHIFT; prints name -> digest
+_DIGESTS = """
+import dataclasses, json, sys, types
+from wfdsim.scenario import load_scenario
+from wfdsim.simulation import Simulation
+from wfdsim.topology import Position
+workloads = types.ModuleType("workloads")
+exec(compile(open(sys.argv[1], encoding="utf-8").read(), sys.argv[1],
+             "exec"), workloads.__dict__)
+dx, dy = float(sys.argv[2]), float(sys.argv[3])
+scenarios = {name: load_scenario(name) for name in sys.argv[4:]}
+scenarios["flows_many"] = load_scenario(workloads.generate("flows_many", 1))
+
+def shifted(scenario):
+    move = lambda p: Position(p.x + dx, p.y + dy)
+    return dataclasses.replace(
+        scenario,
+        nodes=[dataclasses.replace(n, pos=move(n.pos))
+               for n in scenario.nodes],
+        mobility=[dataclasses.replace(s, pos=move(s.pos))
+                  for s in scenario.mobility])
+
+def digest(scenario):
+    sim = Simulation(scenario)
+    sim.run_until(scenario.sim.duration_us)
+    return sim.trace.sha256()
+
+print(json.dumps({f"{name}{tag}": digest(make(scenario))
+                  for name, scenario in scenarios.items()
+                  for tag, make in (("", lambda s: s),
+                                    ("@shifted", shifted))}))
+"""
+
+
+def _digests(hash_seed: str) -> dict[str, str]:
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", _DIGESTS, str(WORKLOADS),
+         *map(str, SHIFT), *sorted(GOLDEN)],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_traces_ignore_the_hash_seed_and_a_shift_of_the_layout():
+    pinned = {**GOLDEN, "flows_many": WORKLOAD_GOLDEN["flows_many"]}
+    expected = {**pinned, **{f"{n}@shifted": d for n, d in pinned.items()}}
+    assert _digests("0") == expected
+    assert _digests("12345") == expected

@@ -1,5 +1,6 @@
 """Event engine: ordering, cancellation, clock semantics, seeded draws."""
 
+import heapq
 import math
 from enum import Enum, IntEnum
 from typing import Any
@@ -62,6 +63,27 @@ def test_run_until_processes_only_due_events():
     assert engine.now() == 2 * SECOND
     engine.run_until(3 * SECOND)
     assert fired == [1, 2, 3]
+
+
+@pytest.mark.parametrize("fire_at, seq, violates", [
+    (5 * MS, 99, True),    # earlier than the last popped event
+    (10 * MS, 0, True),    # same time, lower seq
+    (10 * MS, 1, True),    # the last popped event's own key
+    (10 * MS, 2, False),   # same time, higher seq
+])
+def test_run_until_checks_order_against_the_last_popped_event(fire_at, seq,
+                                                               violates):
+    engine = Engine()
+    engine.call_later(10 * MS, lambda: None)  # (10 ms, seq 0)
+    engine.call_later(10 * MS, lambda: None)  # (10 ms, seq 1)
+    engine.run_until(20 * MS)
+    # the next slice must still compare against (10 ms, 1)
+    heapq.heappush(engine._queue, [fire_at, seq, lambda: None, ()])
+    if violates:
+        with pytest.raises(AssertionError, match="event order violated"):
+            engine.run_until(30 * MS)
+    else:
+        assert engine.run_until(30 * MS) == 1
 
 
 def test_run_until_rejects_past_target():

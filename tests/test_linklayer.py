@@ -485,6 +485,38 @@ def test_deliverable_pairs_enumeration():
                     ll.deliver_frame(Frame(src, dst, group.group_id, 10, None))
 
 
+def test_each_illegal_unicast_raises_its_exact_error():
+    # g2: owner b2, client a2, client c2, and b1 bridged in; g1's client
+    # a1 is outside g2
+    engine, topo, ll, g1, g2 = two_groups()
+    ll.bridge_attach("b1", g2)
+    topo.add_node("c2", Position(350, 50))
+    ll.register_node("c2", 1)
+    ll.join_group("c2", g2)
+    gid = g2.group_id
+    cases = [
+        ("b2", "a2", 999, NotInGroupError),       # no such group
+        ("a1", "b2", gid, NotInGroupError),       # sender outside
+        ("a1", "a2", gid, NotInGroupError),       # sender checked first
+        ("a1", "a1", gid, NotInGroupError),
+        ("b2", "a1", gid, NotInGroupError),       # receiver outside
+        ("a2", "a1", gid, NotInGroupError),       # receiver before role
+        ("b1", "a1", gid, NotInGroupError),
+        ("a2", "c2", gid, ForbiddenByRoleError),  # client to client
+        ("a2", "a2", gid, ForbiddenByRoleError),
+        ("b1", "a2", gid, ForbiddenByRoleError),  # bridged member to client
+        ("a2", "b1", gid, ForbiddenByRoleError),  # client to bridged member
+        ("a1", BROADCAST, gid, NotInGroupError),  # broadcast from outside
+    ]
+    for src, dst, group_id, error in cases:
+        with pytest.raises(Exception) as raised:
+            ll.deliver_frame(Frame(src, dst, group_id, 10, None))
+        assert type(raised.value) is error, (src, dst, group_id)
+    for src, dst in [("b2", "a2"), ("a2", "b2"), ("b2", "b1"), ("b1", "b2"),
+                     ("b2", "c2"), ("c2", "b2")]:
+        assert ll.deliver_frame(Frame(src, dst, gid, 10, None)) == {dst}
+
+
 # ----------------------------------------------------------------------
 # known bugs, pinned until their fixes land (see ROADMAP item 1)
 

@@ -321,6 +321,46 @@ def test_invalid_entry_is_not_selectable():
         select_route(table, "d", TrafficClass.BULK)
 
 
+def reference_select_route(table, dst, traffic_class):
+    """select_route as it was first written: copy the slots, keep the valid
+    ones, take the minimum by the class key."""
+    candidates = [e for e in table.candidates(dst) if e.valid]
+    if not candidates:
+        raise NoRouteError(f"{table.owner}: no route to {dst}")
+    if traffic_class is TrafficClass.BULK:
+        best = min(candidates,
+                   key=lambda e: (e.energy_cost, e.hop_count, e.next_hop))
+    else:
+        best = min(candidates,
+                   key=lambda e: (e.latency_us, e.hop_count, e.next_hop))
+    return best.next_hop
+
+
+# few values per field, so keys tie on every field, next hop included
+_selectable = st.builds(
+    lambda hop, hops, lat, energy: RoutingEntry("d", hop, hops, 4, lat,
+                                                energy, 0),
+    st.sampled_from(["m1", "m2"]), st.sampled_from([1, 2, INFINITE_HOPS]),
+    st.sampled_from([1000, 2000]), st.sampled_from([0.5, 1.0]))
+
+
+@given(st.none() | st.lists(_selectable, max_size=2),
+       st.sampled_from(TrafficClass))
+def test_select_route_matches_the_copying_reference(slots, traffic_class):
+    table = RoutingTable("s")
+    if slots is not None:
+        table.entries["d"] = slots
+
+    def outcome(select):
+        try:
+            return select(table, "d", traffic_class)
+        except NoRouteError:
+            return NoRouteError
+
+    assert outcome(select_route) == outcome(reference_select_route)
+    assert table.entries.get("d") == slots
+
+
 # ----------------------------------------------------------------------
 # forwarding unit tests against a fake transfer plane
 

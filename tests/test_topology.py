@@ -45,6 +45,23 @@ def test_unknown_node_raises():
         topo.neighbors("nope")
 
 
+@pytest.mark.parametrize("a, b, error", [
+    ("nope", "B", UnknownNodeError),   # unknown first id
+    ("A", "nope", UnknownNodeError),   # unknown second id
+    ("nope", "nope", UnknownNodeError),  # unknown ids come before a == b
+    ("A", "A", ValueError),
+    ("D", "A", None),                  # known, distinct, out of range
+])
+def test_in_range_errors_in_order(a, b, error):
+    topo = chain()
+    if error is None:
+        assert topo.in_range(a, b) is False
+        return
+    with pytest.raises(Exception) as raised:
+        topo.in_range(a, b)
+    assert type(raised.value) is error
+
+
 def test_chain_neighbors():
     topo = chain()
     assert topo.neighbors("A") == {"B"}
