@@ -9,7 +9,10 @@ equal fire_at resolve in schedule order and replays are exact.
 
 Each queued event is a list `[fire_at, seq, fn, args]`.  seq is unique, so
 heap comparisons never reach `fn` and run entirely in C.  Cancelling sets
-`fn` to None; the event stays queued and is skipped when popped.
+`fn` to None; the event stays queued and is skipped when popped.  Before it
+runs an event, `run_until` asserts that its (fire_at, seq) is greater than
+that of the last event it ran, in this slice or an earlier one; the last
+event is kept as two ints, so the check builds no tuple.
 
 The trace is write-only for the simulator: layers emit records into it,
 and it is read back only as text: by the summary (`summary.build_summary`)
@@ -171,7 +174,8 @@ class Engine:
         self._now = 0
         self._queue: list[list] = []  # [fire_at, seq, fn, args] heap
         self._seq = itertools.count()
-        self._last_popped: tuple[int, int] | None = None
+        # (fire_at, seq) of the last event run; every event starts later
+        self._last_at, self._last_seq = -1, -1
         self.rng = RandomSource(seed)
         self.trace = Trace()
         self.steps = 0
@@ -196,18 +200,22 @@ class Engine:
         if t_end_us < self._now:
             raise ValueError(f"t_end {t_end_us} is in the past (now={self._now})")
         queue, pop = self._queue, heapq.heappop
+        last_at, last_seq = self._last_at, self._last_seq
         steps = 0
-        while queue and queue[0][0] <= t_end_us:
-            fire_at, seq, fn, args = pop(queue)
-            if fn is None:
-                continue
-            key = (fire_at, seq)
-            assert self._last_popped is None or key > self._last_popped, \
-                "event order violated"
-            self._last_popped = key
-            self._now = fire_at
-            fn(*args)
-            steps += 1
+        try:
+            while queue and queue[0][0] <= t_end_us:
+                fire_at, seq, fn, args = pop(queue)
+                if fn is None:
+                    continue
+                assert fire_at > last_at or (
+                    fire_at == last_at and seq > last_seq), \
+                    "event order violated"
+                last_at, last_seq = fire_at, seq
+                self._now = fire_at
+                fn(*args)
+                steps += 1
+        finally:
+            self._last_at, self._last_seq = last_at, last_seq
         self._now = t_end_us
         self.steps += steps
         return steps

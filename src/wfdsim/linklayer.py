@@ -16,6 +16,16 @@ The transfer layer is that object in a simulation; tests substitute a
 recorder.  Discovery and negotiation report through the continuations
 passed to each call instead, because each call belongs to one connection.
 
+The checks are ordered so that a legal frame pays each once.  A unicast
+from the owner costs one owner comparison and a member lookup of its
+receiver; one from a member compares both ends with the owner and looks up
+its sender.  Only an illegal frame is examined further, to raise the
+error its first fault names: a missing group, then a sender and then a
+receiver outside the group (`NotInGroupError`), else two members that are
+not the owner (`ForbiddenByRoleError`).  An owner's broadcast reaches the
+members in its neighbor set.  Arrival re-checks membership and range,
+because the group or the layout can change while a frame is in flight.
+
 Device state is worked out, not stored: `state(node)` reads it from the
 groups a node owns or is a client of, the negotiations in progress and the
 node's discovery session, so it cannot drift from them.
@@ -102,10 +112,6 @@ class Group:
     def members(self) -> set[NodeId]:
         return self.clients | self.legacy
 
-    def has(self, node: NodeId) -> bool:
-        """Whether node is a client or a bridged member (not the owner)."""
-        return node in self.clients or node in self.legacy
-
     def assign_address(self, node: NodeId) -> int:
         addr = self._next_addr
         self._next_addr += 1
@@ -183,6 +189,9 @@ class LinkLayer:
         self._negotiating: set[NodeId] = set()
         self._sessions: dict[NodeId, _DiscoverySession] = {}
         self._discovered: dict[NodeId, set[NodeId]] = {}
+        # node -> (data_rate_bps, per_hop_mac_latency_us) of its radio
+        # profile, which is frozen and set once when the node is added
+        self._radio: dict[NodeId, tuple[int, int]] = {}
         self._next_group_id = 1
         self.upper: LinkEvents = LinkEvents()
 
@@ -261,10 +270,10 @@ class LinkLayer:
 
     def unicast_group(self, a: NodeId, b: NodeId) -> Group | None:
         """The group in whose context a may unicast to b, if any."""
-        group = self.owned_group(a)
-        if group is not None and group.has(b):
+        group = self._owns.get(a)
+        if group is not None and (b in group.clients or b in group.legacy):
             return group
-        group = self.client_group(a)
+        group = self._member_of.get(a)
         if group is not None and group.owner == b:
             return group
         # group owners are unique, so at most one bridged group matches
@@ -611,50 +620,70 @@ class LinkLayer:
     def deliver_frame(self, frame: Frame) -> set[NodeId]:
         """Validate role legality and schedule delivery; returns the intended
         recipient set.  Range is re-checked at arrival time; frames that fail
-        then are traced as DROP and reported as `frame_lost`."""
+        then are traced as DROP and reported as `frame_lost`.  The order of
+        the checks is set out in the module docstring."""
         group = self.groups.get(frame.group_id)
         if group is None:
             raise NotInGroupError(f"no group {frame.group_id}")
-        if frame.src != group.owner and not group.has(frame.src):
-            raise NotInGroupError(f"{frame.src} not in group {frame.group_id}")
-        frame.sent_at = self.engine.now()
+        src, dst, owner = frame.src, frame.dst, group.owner
 
-        if frame.dst == BROADCAST:
-            if frame.src == group.owner:
-                recipients = {m for m in group.members()
-                              if self.topology.in_range(frame.src, m)}
-            else:
-                recipients = ({group.owner}
-                              if self.topology.in_range(frame.src, group.owner)
+        if dst == BROADCAST:
+            if src == owner:
+                recipients = group.members() & self.topology.neighbors(src)
+            elif src in group.clients or src in group.legacy:
+                recipients = ({owner} if self.topology.in_range(src, owner)
                               else set())
-            for dst in sorted(recipients):
-                self._schedule_arrival(frame, dst)
+            else:
+                raise self._illegal(frame, group)
+            frame.sent_at = self.engine.now()
+            delay = self.transmit_delay_us(src, frame.size_bits)
+            for node in sorted(recipients):
+                self.engine.call_later(delay, self._on_frame_arrival, frame,
+                                       node)
             return recipients
 
-        if frame.dst != group.owner and not group.has(frame.dst):
-            raise NotInGroupError(f"{frame.dst} not in group {frame.group_id}")
-        if group.owner not in (frame.src, frame.dst):
-            raise ForbiddenByRoleError(
-                f"{frame.src}->{frame.dst}: group members may only exchange "
-                f"frames with the group owner")
-        self._schedule_arrival(frame, frame.dst)
-        return {frame.dst}
+        if src == owner:
+            legal = dst in group.clients or dst in group.legacy or dst == owner
+        else:
+            legal = dst == owner and (src in group.clients
+                                      or src in group.legacy)
+        if not legal:
+            raise self._illegal(frame, group)
+        frame.sent_at = self.engine.now()
+        self.engine.call_later(self.transmit_delay_us(src, frame.size_bits),
+                               self._on_frame_arrival, frame, dst)
+        return {dst}
+
+    @staticmethod
+    def _illegal(frame: Frame, group: Group) -> LinkError:
+        """The error an illegal frame raises: its sender, else its receiver,
+        outside the group, else two members that are not the owner."""
+        for node in (frame.src, frame.dst):
+            if node != group.owner and node not in group.clients \
+                    and node not in group.legacy:
+                return NotInGroupError(f"{node} not in group {frame.group_id}")
+        return ForbiddenByRoleError(
+            f"{frame.src}->{frame.dst}: group members may only exchange "
+            f"frames with the group owner")
 
     def transmit_delay_us(self, sender: NodeId, size_bits: int) -> int:
-        profile = self.topology.profile(sender)
-        return (size_bits * SECOND // profile.data_rate_bps
-                + profile.per_hop_mac_latency_us)
-
-    def _schedule_arrival(self, frame: Frame, dst: NodeId) -> None:
-        delay = self.transmit_delay_us(frame.src, frame.size_bits)
-        self.engine.call_later(delay, self._on_frame_arrival, frame, dst)
+        radio = self._radio.get(sender)
+        if radio is None:
+            profile = self.topology.profile(sender)
+            radio = self._radio[sender] = (profile.data_rate_bps,
+                                           profile.per_hop_mac_latency_us)
+        rate, mac = radio
+        return size_bits * SECOND // rate + mac
 
     def _on_frame_arrival(self, frame: Frame, dst: NodeId) -> None:
         group = self.groups.get(frame.group_id)
+        src = frame.src
         legal = (group is not None
-                 and (frame.src == group.owner or group.has(frame.src))
-                 and (dst == group.owner or group.has(dst)))
-        if not legal or not self.topology.in_range(frame.src, dst):
+                 and (src == group.owner or src in group.clients
+                      or src in group.legacy)
+                 and (dst == group.owner or dst in group.clients
+                      or dst in group.legacy))
+        if not legal or not self.topology.in_range(src, dst):
             self.engine.log(frame.src, EventClass.DROP, reason="lost",
                             dst=dst, group=frame.group_id,
                             size_bits=frame.size_bits)

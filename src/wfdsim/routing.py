@@ -355,16 +355,22 @@ def select_route(table: RoutingTable, dst: NodeId,
     """Pick the next hop for dst per class policy: REAL_TIME minimizes
     latency, BULK minimizes energy; ties break by hop count then lowest
     next-hop id.  Raises NoRouteError when no valid candidate exists."""
-    candidates = [e for e in table.candidates(dst) if e.valid]
-    if not candidates:
+    best = None
+    for entry in table.entries.get(dst, ()):  # read in place: no copy
+        if entry.hop_count >= INFINITE_HOPS:
+            continue
+        if best is None or _class_key(entry, traffic_class) < \
+                _class_key(best, traffic_class):
+            best = entry
+    if best is None:
         raise NoRouteError(f"{table.owner}: no route to {dst}")
-    if traffic_class is TrafficClass.BULK:
-        best = min(candidates,
-                   key=lambda e: (e.energy_cost, e.hop_count, e.next_hop))
-    else:
-        best = min(candidates,
-                   key=lambda e: (e.latency_us, e.hop_count, e.next_hop))
     return best.next_hop
+
+
+def _class_key(entry: RoutingEntry, traffic_class: TrafficClass) -> tuple:
+    if traffic_class is TrafficClass.BULK:
+        return (entry.energy_cost, entry.hop_count, entry.next_hop)
+    return (entry.latency_us, entry.hop_count, entry.next_hop)
 
 
 @dataclass

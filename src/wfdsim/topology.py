@@ -6,6 +6,8 @@ Euclidean distance is at most the smaller of the two radio ranges.  Range
 comparisons use squared distances so no square root enters the decision.
 Neighbor sets are maintained on add and move, so a range query is a set
 lookup and a move's flips are the difference between its old and new sets.
+A query for a pair in range is that one lookup; the id checks run only
+when it misses.
 """
 
 from __future__ import annotations
@@ -70,11 +72,17 @@ class Topology:
         return self._profiles[node]
 
     def in_range(self, a: NodeId, b: NodeId) -> bool:
+        """Whether a and b can hear each other.  A pair in range costs one
+        set lookup; any other query first raises `UnknownNodeError` for an
+        unknown a, then for an unknown b, then `ValueError` if a == b."""
+        near = self._near.get(a)
+        if near is not None and b in near:
+            return True
         self._check(a)
         self._check(b)
         if a == b:
             raise ValueError("in_range is not defined for a node with itself")
-        return b in self._near[a]
+        return False
 
     def neighbors(self, node: NodeId) -> set[NodeId]:
         self._check(node)
