@@ -684,10 +684,10 @@ class LinkLayer:
                  and (dst == group.owner or dst in group.clients
                       or dst in group.legacy))
         if not legal or not self.topology.in_range(src, dst):
-            self.engine.log(frame.src, EventClass.DROP, reason="lost",
+            self.engine.log(src, EventClass.DROP, reason="lost",
                             dst=dst, group=frame.group_id,
                             size_bits=frame.size_bits)
-            self.upper.frame_lost(frame.src, dst, frame)
+            self.upper.frame_lost(src, dst, frame)
             return
         self.upper._on_frame(dst, frame)
 

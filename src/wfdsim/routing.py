@@ -356,7 +356,7 @@ def select_route(table: RoutingTable, dst: NodeId,
     latency, BULK minimizes energy; ties break by hop count then lowest
     next-hop id.  Raises NoRouteError when no valid candidate exists."""
     best = None
-    for entry in table.entries.get(dst, ()):  # read in place: no copy
+    for entry in table.entries.get(dst, ()):
         if entry.hop_count >= INFINITE_HOPS:
             continue
         if best is None or _class_key(entry, traffic_class) < \
