@@ -284,6 +284,24 @@ REPORT_CASES = {name: (lambda name=name: Simulation.from_source(name))
 REPORT_CASES["self_send"] = chain4_with_self_send
 
 
+def slow_link():
+    # one 35,000-bit send over a 1 kbit/s hop: the frame is on the air for
+    # 35 s, and the flow ends only when it arrives
+    radio = {"data_rate_bps": 1000}
+    return Simulation.from_source({
+        "sim": {"duration_ms": 80_000},
+        "nodes": [{"id": "a", "pos": [0, 0], "go_intent": 9, **radio},
+                  {"id": "b", "pos": [100, 0], "go_intent": 1, **radio}],
+        "script": [{"at_ms": 0, "action": "connect", "from": "a",
+                    "to": "b"}],
+        "traffic": [{"at_ms": 5000, "src": "a", "dst": "b",
+                     "payload_bits": 35_000}],
+    })
+
+
+REPORT_CASES["slow_link"] = slow_link
+
+
 @pytest.mark.parametrize("case", sorted(REPORT_CASES))
 def test_delivered_path_consistent_with_trace(case):
     # every send's report agrees with the flow the summary derives from
@@ -303,4 +321,12 @@ def test_delivered_path_consistent_with_trace(case):
                 (flow.path, flow.latency_us)
             assert report.path[0] == report.src
             assert report.path[-1] == report.dst
+
+
+def test_slow_link_delivery_reports_its_whole_latency():
+    sim = slow_link()
+    sim.run()
+    report = sim.transfer.report(0)
+    assert report.outcome is DeliveryOutcome.DELIVERED
+    assert report.latency_us == 35_002_000
 
