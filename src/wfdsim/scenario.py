@@ -17,9 +17,7 @@ those objects; ``_SIM_FIELDS`` and ``_NODE_FIELDS`` map each file key to
 its object and field.
 
 Times in the file are milliseconds; everything becomes integer microseconds
-on load.  ``auto_chain: true`` replaces the script section with generated
-directives that pair the nodes in file order into two-node groups and then
-bridges consecutive group owners.
+on load.
 """
 
 from __future__ import annotations
@@ -242,21 +240,12 @@ def _parse_fields(raw: dict, table: dict, where: str) -> dict[str, dict]:
 
 
 def _validate(raw: dict) -> Scenario:
-    _check_keys(raw, {"sim", "nodes", "script", "mobility", "traffic",
-                      "auto_chain"}, "scenario")
+    _check_keys(raw, {"sim", "nodes", "script", "mobility", "traffic"},
+                "scenario")
     sim = _validate_sim(raw.get("sim") or {})
     nodes = _validate_nodes(raw.get("nodes"))
     ids = {n.id for n in nodes}
-
-    auto_chain = raw.get("auto_chain", False)
-    _require(isinstance(auto_chain, bool), "auto_chain must be a boolean")
-    if auto_chain:
-        _require(not raw.get("script"),
-                 "auto_chain and an explicit script are mutually exclusive")
-        script = _generate_chain_script(nodes)
-    else:
-        script = _validate_script(raw.get("script") or [], ids, sim)
-
+    script = _validate_script(raw.get("script") or [], ids, sim)
     mobility = _validate_mobility(raw.get("mobility") or [], ids, sim)
     traffic = _validate_traffic(raw.get("traffic") or [], ids, sim)
     return Scenario(sim, nodes, script, mobility, traffic)
@@ -375,20 +364,3 @@ def _validate_traffic(raw, ids: set[str],
                                  entry["src"], entry["dst"], bits, cls))
     return flows
 
-
-def _generate_chain_script(nodes: list[NodeSpec]) -> list[ScriptDirective]:
-    _require(len(nodes) >= 2 and len(nodes) % 2 == 0,
-             "auto_chain needs an even number of nodes (pairs become groups)")
-    script = []
-    owners = []
-    for i in range(0, len(nodes), 2):
-        a, b = nodes[i], nodes[i + 1]
-        _require(a.go_intent != b.go_intent,
-                 f"auto_chain: nodes {a.id} and {b.id} need distinct "
-                 f"go_intent so the group owner is determined")
-        script.append(ScriptDirective(0, "connect", a.id, b.id))
-        owners.append(a if a.go_intent > b.go_intent else b)
-    for i, (left, right) in enumerate(zip(owners, owners[1:])):
-        script.append(ScriptDirective((3 + i) * SECOND, "bridge",
-                                      left.id, right.id))
-    return script

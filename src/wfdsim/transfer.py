@@ -11,14 +11,18 @@ arrivals, losses and link changes on to the routing agents.
 A connect's outcome is its `CONNECT` records (`request`, then `up` or
 `failed`); the transfer layer keeps no connection state of its own.
 
-A delivery report's path is the one the packet recorded on itself as it
-was forwarded (`Packet.path`), plus the node that delivered it; the
-transfer layer never reads the trace back.
+A flow's report is written once, at the traced event that ends its
+packet: the `DELIVER` record, the `DROP` of a TTL expiry or a missing
+route, or the `DROP reason=lost` of a frame that found no link.  A packet
+travels as one unicast frame per hop and stops at its destination, so it
+ends exactly once; a flow still in flight has no report.  A delivery
+report's path is the one the packet recorded on itself as it was
+forwarded (`Packet.path`), plus the node that delivered it; the transfer
+layer never reads the trace back.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -58,25 +62,17 @@ class _PendingFlow:
     src: NodeId
     dst: NodeId
     sent_at: int
-    timeout_handle: object
-
-
-DEDUP_WINDOW = 1024
-REPORT_TIMEOUT_US = 30_000_000
 
 
 class TransferLayer(LinkEvents):
     """Per-simulation transfer plane: wraps packets in frames, dispatches
-    arrivals up to the routing agents, delivers each packet once per node
-    through a (src, app_seq) de-duplication window, and tracks per-flow
-    outcomes: a delivery is recorded in its report and its DELIVER trace
-    record."""
+    arrivals up to the routing agents, and writes each flow's report at the
+    traced event that ends it."""
 
     def __init__(self, engine: Engine, linklayer: LinkLayer):
         self.engine = engine
         self.linklayer = linklayer
         self.agents: dict[NodeId, RoutingAgent] = {}
-        self._dedup: dict[NodeId, tuple[deque, set]] = {}
         self._next_app_seq = 0
         self._pending: dict[int, _PendingFlow] = {}
         self.reports: dict[int, DeliveryReport] = {}
@@ -86,7 +82,6 @@ class TransferLayer(LinkEvents):
         node = agent.node
         self.agents[node] = agent
         agent.transfer = self
-        self._dedup[node] = (deque(), set())
 
     # ------------------------------------------------------------------
     # connection management
@@ -256,32 +251,17 @@ class TransferLayer(LinkEvents):
             raise KeyError(f"unknown node {src!r}")
         app_seq = self._next_app_seq
         self._next_app_seq += 1
+        self._pending[app_seq] = _PendingFlow(src, dst, self.engine.now())
         if dst == src:
-            pkt = Packet(src, dst, app_seq, 0, traffic_class, payload_bits)
-            self._pending[app_seq] = _PendingFlow(src, dst, self.engine.now(),
-                                                  None)
-            self.deliver_local(src, pkt)
+            self.deliver_local(src, Packet(src, dst, app_seq, 0,
+                                           traffic_class, payload_bits))
             return app_seq
         pkt = Packet(src, dst, app_seq, self.agents[src].config.default_ttl,
                      traffic_class, payload_bits)
-        handle = self.engine.call_later(REPORT_TIMEOUT_US, self._finalize,
-                                        app_seq, DeliveryOutcome.LOST)
-        self._pending[app_seq] = _PendingFlow(src, dst, self.engine.now(),
-                                              handle)
         self.engine.call_later(0, self.agents[src].forward, pkt)
         return app_seq
 
     def deliver_local(self, node: NodeId, pkt: Packet) -> None:
-        window, seen = self._dedup[node]
-        key = (pkt.src, pkt.app_seq)
-        if key in seen:
-            self.engine.log(node, EventClass.DROP, reason="duplicate",
-                            src=pkt.src, app_seq=pkt.app_seq)
-            return
-        window.append(key)
-        seen.add(key)
-        if len(window) > DEDUP_WINDOW:
-            seen.discard(window.popleft())
         self.engine.log(node, EventClass.DELIVER, src=pkt.src,
                         app_seq=pkt.app_seq, cls=pkt.traffic_class,
                         bits=pkt.payload_bits)
@@ -293,8 +273,7 @@ class TransferLayer(LinkEvents):
 
     def notify_drop(self, app_seq: int, reason: str) -> None:
         outcome = {"ttl_expired": DeliveryOutcome.TTL_EXPIRED,
-                   "no_route": DeliveryOutcome.NO_ROUTE,
-                   "lost": DeliveryOutcome.LOST}[reason]
+                   "no_route": DeliveryOutcome.NO_ROUTE}[reason]
         self._finalize(app_seq, outcome)
 
     def _finalize(self, app_seq: int, outcome: DeliveryOutcome,
@@ -302,9 +281,7 @@ class TransferLayer(LinkEvents):
         """Record the flow's one report; path is given for deliveries."""
         flow = self._pending.pop(app_seq, None)
         if flow is None:
-            return  # already terminal (e.g. duplicate delivery)
-        if flow.timeout_handle is not None:
-            flow.timeout_handle.cancel()
+            return  # a packet that no app_send made
         latency: int | None = None
         if outcome is DeliveryOutcome.DELIVERED:
             latency = self.engine.now() - flow.sent_at

@@ -1,16 +1,25 @@
 """Determinism guards against the environment: a run's trace may depend
 only on its scenario and seed, not on the hash seed of the interpreter
-(set iteration over string ids) nor on where the layout sits in the plane.
+(set iteration over string ids), on where the layout sits in the plane, nor
+on a node out of everyone's range.
 
-Each guard runs in child processes, so `PYTHONHASHSEED` takes effect; -B
-writes no bytecode next to bench/."""
+The hash-seed and shift guard runs in child processes, so `PYTHONHASHSEED`
+takes effect; -B writes no bytecode next to bench/."""
 
+import dataclasses
 import json
 import os
 import pathlib
 import subprocess
 import sys
 
+import pytest
+
+from wfdsim.scenario import NodeSpec, load_scenario
+from wfdsim.simulation import Simulation
+from wfdsim.topology import Position
+
+from conftest import load_bench_module
 from test_golden_digests import GOLDEN, WORKLOAD_GOLDEN
 
 WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "bench" / \
@@ -67,3 +76,23 @@ def test_traces_ignore_the_hash_seed_and_a_shift_of_the_layout():
     expected = {**pinned, **{f"{n}@shifted": d for n, d in pinned.items()}}
     assert _digests("0") == expected
     assert _digests("12345") == expected
+
+
+FAR = NodeSpec("far", Position(1e7, 1e7))
+
+
+@pytest.mark.parametrize("name", [*sorted(GOLDEN), "flows_many"])
+def test_an_unscripted_node_out_of_range_changes_no_record(name):
+    # the far node hears nobody and nobody hears it, so every other node's
+    # records stay as pinned and it writes none of its own
+    if name == "flows_many":
+        scenario = load_scenario(
+            load_bench_module("workloads").generate(name, 1))
+        pinned = WORKLOAD_GOLDEN[name]
+    else:
+        scenario = load_scenario(name)
+        pinned = GOLDEN[name]
+    sim = Simulation(dataclasses.replace(scenario,
+                                         nodes=[*scenario.nodes, FAR]))
+    sim.run_until(scenario.sim.duration_us)
+    assert sim.trace.sha256() == pinned

@@ -98,17 +98,6 @@ def test_bad_action_and_bad_class_rejected():
                                         "class": "STREAMING"}]))
 
 
-def test_auto_chain_needs_even_count_and_distinct_intents():
-    doc = variant(script=[], auto_chain=True)
-    doc["nodes"] = doc["nodes"][:1]
-    with pytest.raises(ScenarioError, match="even number"):
-        load_scenario(doc)
-    doc = variant(script=[], auto_chain=True)
-    doc["nodes"][1]["go_intent"] = doc["nodes"][0]["go_intent"]
-    with pytest.raises(ScenarioError, match="distinct go_intent"):
-        load_scenario(doc)
-
-
 def test_intent_out_of_range_rejected():
     doc = variant()
     doc["nodes"][0]["go_intent"] = 16
@@ -152,6 +141,7 @@ INF, NAN = float("inf"), float("nan")
     (("mobility",), [{"at_ms": 10, "node": "a", "pos": [INF, INF]}],
      "mobility[0]: pos must be finite"),
     (("sim", 7), 1, "unknown field(s) in sim: 7"),
+    (("auto_chain",), True, "unknown field(s) in scenario: auto_chain"),
     # a zero period reschedules itself forever at one virtual time
     (("sim", "advert_period_ms"), 0, "sim: advert_period_ms must be positive"),
     (("sim", "keepalive_ms"), 0, "sim: keepalive_ms must be positive"),

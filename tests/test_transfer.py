@@ -5,7 +5,7 @@ import pytest
 
 from wfdsim.engine import MS, SECOND, EventClass
 from wfdsim.linklayer import DeviceState, LinkEvents, OutOfRangeError
-from wfdsim.routing import Packet, TrafficClass
+from wfdsim.routing import TrafficClass
 from wfdsim.transfer import DeliveryOutcome, RoleConflictError
 from wfdsim.simulation import Simulation
 from wfdsim.topology import Position
@@ -209,21 +209,6 @@ def test_send_to_a_hop_that_shares_no_group_reports_lost_and_invalidates():
         [("a", {"reason": "lost", "dst": "b", "detail": "no_link"})]
 
 
-def test_swallowed_data_frame_times_out_as_lost():
-    # a send whose frame vanishes without a trace of loss is settled only
-    # by the report timeout; the run carries on and the link layer stays
-    # consistent
-    sim = pair_sim(duration_s=40)
-    sim.run_until(3 * SECOND)
-    sim.transfer.send_data = lambda node, pkt, next_hop: True
-    seq = sim.transfer.app_send("a", "b", 100, TrafficClass.REAL_TIME)
-    sim.run_until(10 * SECOND)
-    assert sim.transfer.report(seq) is None
-    sim.run_until(35 * SECOND)
-    assert sim.transfer.report(seq).outcome is DeliveryOutcome.LOST
-    sim.linklayer.check_consistency()
-
-
 # ----------------------------------------------------------------------
 # app interface
 
@@ -255,20 +240,6 @@ def test_deliveries_in_order_and_exactly_once():
     sim.run_until(4 * SECOND)
     assert deliveries(sim, "b") == [("a", 10, s1), ("a", 20, s2)]
     assert deliveries(sim, "a") == []
-
-
-def test_duplicate_injection_suppressed_by_dedup_window():
-    sim = pair_sim()
-    sim.run_until(3 * SECOND)
-    pkt = Packet("a", "b", 777, 16, TrafficClass.REAL_TIME, 10)
-    sim.agent("b").forward(pkt)
-    dup = Packet("a", "b", 777, 16, TrafficClass.REAL_TIME, 10)
-    sim.agent("b").forward(dup)
-    assert [m for m in deliveries(sim, "b") if m[2] == 777] == \
-        [("a", 10, 777)]
-    drops = [r for r in trace_records(sim.trace, EventClass.DROP)
-             if r.details.get("reason") == "duplicate"]
-    assert len(drops) == 1
 
 
 def chain4_with_self_send():
