@@ -13,9 +13,10 @@ A connect's outcome is its `CONNECT` records (`request`, then `up` or
 
 A flow's report is written once, at the traced event that ends its
 packet: the `DELIVER` record, the `DROP` of a TTL expiry or a missing
-route, or the `DROP reason=lost` of a frame that found no link.  A packet
-travels as one unicast frame per hop and stops at its destination, so it
-ends exactly once; a flow still in flight has no report.  A delivery
+route, or the `DROP reason=lost` of a frame that found no link or did not
+arrive.  A packet travels as one unicast frame per hop and stops at its
+destination, so it ends exactly once; a flow still in flight has no
+report.  A delivery
 report's path is the one the packet recorded on itself as it was
 forwarded (`Packet.path`), plus the node that delivered it; the transfer
 layer never reads the trace back.

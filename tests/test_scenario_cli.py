@@ -141,7 +141,6 @@ INF, NAN = float("inf"), float("nan")
     (("mobility",), [{"at_ms": 10, "node": "a", "pos": [INF, INF]}],
      "mobility[0]: pos must be finite"),
     (("sim", 7), 1, "unknown field(s) in sim: 7"),
-    (("auto_chain",), True, "unknown field(s) in scenario: auto_chain"),
     # a zero period reschedules itself forever at one virtual time
     (("sim", "advert_period_ms"), 0, "sim: advert_period_ms must be positive"),
     (("sim", "keepalive_ms"), 0, "sim: keepalive_ms must be positive"),
@@ -149,6 +148,7 @@ INF, NAN = float("inf"), float("nan")
      "sim: find_max_ms must be positive"),
     (("sim", "keepalive_ms"), 0.0004,  # rounds to 0 µs
      "sim: keepalive_ms must be positive"),
+    (("auto_chain",), True, "unknown field(s) in scenario: auto_chain"),
 ])
 def test_non_finite_and_boolean_inputs_rejected(path, value, message):
     doc = _set(variant(), path, value)
