@@ -144,6 +144,11 @@ class LinkEvents:
         """`frame` from `src` did not reach `dst`: out of range, or no
         longer role-legal, when it arrived."""
 
+    def loss_fields(self, payload: object) -> dict:
+        """Trace fields that name a lost frame's payload in its `DROP`
+        record: none here."""
+        return {}
+
     def link_up(self, owner: NodeId, member: NodeId) -> None:
         """`member` joined or bridged into `owner`'s group."""
 
@@ -247,26 +252,6 @@ class LinkLayer:
         if bridges:
             groups += [bridges[gid] for gid in sorted(bridges)]
         return groups
-
-    def peers(self, node: NodeId) -> set[NodeId]:
-        """Role-legal unicast partners of `node` right now."""
-        result: set[NodeId] = set()
-        for group in self.contexts(node):
-            if group.owner == node:
-                result |= group.members()
-            else:
-                result.add(group.owner)
-        return result
-
-    def deliverable_pairs(self) -> set[tuple[NodeId, NodeId]]:
-        """All unordered pairs for which a unicast frame could succeed.  A
-        test oracle: the acceptance tests build the connectivity graph from
-        it."""
-        pairs = set()
-        for group in self.groups.values():
-            for member in group.members():
-                pairs.add(tuple(sorted((group.owner, member))))
-        return pairs
 
     def unicast_group(self, a: NodeId, b: NodeId) -> Group | None:
         """The group in whose context a may unicast to b, if any."""
@@ -686,7 +671,8 @@ class LinkLayer:
         if not legal or not self.topology.in_range(src, dst):
             self.engine.log(src, EventClass.DROP, reason="lost",
                             dst=dst, group=frame.group_id,
-                            size_bits=frame.size_bits)
+                            size_bits=frame.size_bits,
+                            **self.upper.loss_fields(frame.payload))
             self.upper.frame_lost(src, dst, frame)
             return
         self.upper._on_frame(dst, frame)

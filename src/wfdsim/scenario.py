@@ -7,7 +7,10 @@ energy cost), ``script`` (timed connect/join/bridge directives), ``mobility``
 strict: unknown keys anywhere are an error, numbers must be finite and may
 not be booleans, the periods ``advert_period_ms``, ``keepalive_ms`` and
 ``find_max_ms`` must be at least 1 µs, and every cross-reference is
-validated with a message naming the offending entry.
+validated with a message naming the offending entry.  The same rules
+apply to a mapping passed to ``load_scenario`` in place of a file; it is
+validated without importing the YAML parser, so a run built from a
+mapping never pays for that import.
 
 Each setting lives in the config object of the layer that reads it, and
 that dataclass holds its default: ``LinkConfig`` (discovery, negotiation,
@@ -28,8 +31,6 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from importlib import resources
-
-import yaml
 
 from .engine import MS, SECOND
 from .linklayer import SOCIAL_CHANNELS, BridgingPolicy, LinkConfig
@@ -114,11 +115,12 @@ def bundled_scenario_path(name: str):
 
 def load_scenario(source) -> Scenario:
     """Load and validate a scenario from a path, a bundled name, or a
-    pre-parsed mapping."""
+    pre-parsed mapping; only text is handed to the YAML parser."""
     if isinstance(source, dict):
         raw = source
     else:
         text = _read(source)
+        import yaml
         raw = yaml.safe_load(text)
     if not isinstance(raw, dict):
         raise ScenarioError("scenario document must be a mapping")

@@ -11,6 +11,10 @@ an ADVERT line only the fields whose key may be `action`, `full` or `n`
 are partitioned, so the long `entries` and `changed` values never are.
 A field is read as `key=value`: the last of a repeated key wins, and a
 field without `=` has the empty value.
+
+A flow's outcome is `IN_FLIGHT` until the first record that ends it: its
+`DELIVER`, or a `DROP` naming its `app_seq` for a TTL expiry, a missing
+route or a lost frame (`LOST`).
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ class FlowSummary:
     src: str
     dst: str
     traffic_class: str
-    outcome: str = "LOST"
+    outcome: str = "IN_FLIGHT"  # until a record ends the flow
     latency_us: int | None = None
     path: list[str] = field(default_factory=list)
 
@@ -126,7 +130,7 @@ def build_summary(lines) -> Summary:
                                                  d.get("cls", "-"))
                     starts[app_seq] = time_us
                 flow = flows.get(app_seq)
-                if flow is not None and flow.outcome == "LOST" and \
+                if flow is not None and flow.outcome == "IN_FLIGHT" and \
                         d["src"] == flow.src:
                     flow.path.append(node)
             elif event_class == "DELIVER":
@@ -139,7 +143,7 @@ def build_summary(lines) -> Summary:
                                        d.get("cls", "-"))
                     flows[app_seq] = flow
                     starts[app_seq] = time_us
-                if flow.outcome == "LOST" and flow.latency_us is None:
+                if flow.outcome == "IN_FLIGHT":
                     flow.outcome = "DELIVERED"
                     flow.latency_us = time_us - starts[app_seq]
                     flow.path.append(node)
@@ -154,8 +158,7 @@ def build_summary(lines) -> Summary:
                         flow = FlowSummary(app_seq, d["src"], d["dst"],
                                            d.get("cls", "-"))
                         flows[app_seq] = flow
-                    if flow is not None and flow.outcome == "LOST" and \
-                            flow.latency_us is None:
+                    if flow is not None and flow.outcome == "IN_FLIGHT":
                         flow.outcome = _TERMINAL_DROPS[reason]
             elif event_class == "DISCOVERY":
                 # only an `action=resp` line is read

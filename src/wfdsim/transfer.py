@@ -14,12 +14,12 @@ A connect's outcome is its `CONNECT` records (`request`, then `up` or
 A flow's report is written once, at the traced event that ends its
 packet: the `DELIVER` record, the `DROP` of a TTL expiry or a missing
 route, or the `DROP reason=lost` of a frame that found no link or did not
-arrive.  A packet travels as one unicast frame per hop and stops at its
-destination, so it ends exactly once; a flow still in flight has no
-report.  A delivery
-report's path is the one the packet recorded on itself as it was
-forwarded (`Packet.path`), plus the node that delivered it; the transfer
-layer never reads the trace back.
+arrive, which names the packet's `app_seq`.  A packet travels as one
+unicast frame per hop and stops at its destination, so it ends exactly
+once; until then `report` reads `IN_FLIGHT`, as the summary does for a
+flow with no such record.  A delivery report's path is the one the packet
+recorded on itself as it was forwarded (`Packet.path`), plus the node that
+delivered it; the transfer layer never reads the trace back.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ class DeliveryOutcome(Enum):
     NO_ROUTE = "NO_ROUTE"
     TTL_EXPIRED = "TTL_EXPIRED"
     LOST = "LOST"
+    IN_FLIGHT = "IN_FLIGHT"
 
 
 @dataclass
@@ -219,7 +220,7 @@ class TransferLayer(LinkEvents):
         group = self.linklayer.unicast_group(node, peer)
         if group is None:
             self.engine.log(node, EventClass.DROP, reason="lost", dst=peer,
-                            detail="no_link")
+                            detail="no_link", **self.loss_fields(payload))
             self._report_loss(node, peer, payload)
             return False
         self.linklayer.deliver_frame(
@@ -235,6 +236,13 @@ class TransferLayer(LinkEvents):
 
     def frame_lost(self, src: NodeId, dst: NodeId, frame: Frame) -> None:
         self._report_loss(src, dst, frame.payload)
+
+    def loss_fields(self, payload) -> dict:
+        """A lost data frame's record names its packet, so the summary
+        ends that flow as `LOST`; a control frame's names nothing."""
+        if isinstance(payload, Packet):
+            return {"app_seq": payload.app_seq}
+        return {}
 
     def _report_loss(self, src: NodeId, dst: NodeId, payload) -> None:
         agent = self.agents.get(src)
@@ -290,4 +298,10 @@ class TransferLayer(LinkEvents):
                                                outcome, path or [], latency)
 
     def report(self, app_seq: int) -> DeliveryReport | None:
+        """The flow's report; `IN_FLIGHT` while its packet has not ended,
+        None for an app_seq that no app_send made."""
+        flow = self._pending.get(app_seq)
+        if flow is not None:
+            return DeliveryReport(app_seq, flow.src, flow.dst,
+                                  DeliveryOutcome.IN_FLIGHT, [], None)
         return self.reports.get(app_seq)

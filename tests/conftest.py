@@ -66,6 +66,27 @@ def trace_records(trace, event_class=None, action=None):
     return out
 
 
+def peers(linklayer, node):
+    """Role-legal unicast partners of `node` right now: an owner's members
+    in the group it owns, the owner of each group it is a client of or
+    bridges into."""
+    result = set()
+    for group in linklayer.contexts(node):
+        if group.owner == node:
+            result |= group.members()
+        else:
+            result.add(group.owner)
+    return result
+
+
+def deliverable_pairs(linklayer):
+    """All unordered pairs for which a unicast frame could succeed: each
+    group's owner with each of its members."""
+    return {tuple(sorted((group.owner, member)))
+            for group in linklayer.groups.values()
+            for member in group.members()}
+
+
 def make_link_world(positions, intents=None, seed=1, config=None,
                     channels=None):
     """Engine + topology + link layer with the given node positions."""

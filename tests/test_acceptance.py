@@ -32,7 +32,7 @@ from wfdsim.simulation import Simulation
 from wfdsim.topology import Position
 from wfdsim.transfer import DeliveryOutcome
 
-from conftest import make_link_world, trace_records
+from conftest import deliverable_pairs, make_link_world, trace_records
 
 
 def passed(criterion, detail=""):
@@ -319,7 +319,7 @@ def test_criterion_6_oracle_equivalence_and_loop_freedom():
         scenario, costs = random_group_topology(trial)
         sim = Simulation(scenario)
         sim.run_until(14 * SECOND)
-        graph = nx.Graph(list(sim.linklayer.deliverable_pairs()))
+        graph = nx.Graph(list(deliverable_pairs(sim.linklayer)))
         graph.add_nodes_from(n.id for n in scenario.nodes)
         assert nx.is_connected(graph), f"trial {trial}: topology disconnected"
         for node in sim.agents:

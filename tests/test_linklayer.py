@@ -15,7 +15,8 @@ from wfdsim.linklayer import (BROADCAST, FIND_STATES, BridgingDisabledError,
                               _DiscoverySession)
 from wfdsim.topology import Position
 
-from conftest import form_pair, make_link_world, make_sim, trace_records
+from conftest import (deliverable_pairs, form_pair, make_link_world,
+                      make_sim, peers, trace_records)
 
 
 # ----------------------------------------------------------------------
@@ -439,7 +440,7 @@ def two_groups():
 def test_bridge_creates_owner_to_owner_edge():
     engine, _, ll, g1, g2 = two_groups()
     ll.bridge_attach("b1", g2)
-    assert ("b1", "b2") in ll.deliverable_pairs()
+    assert ("b1", "b2") in deliverable_pairs(ll)
     recipients = ll.deliver_frame(Frame("b1", "b2", g2.group_id, 100, None))
     assert recipients == {"b2"}
     ll.check_consistency()
@@ -473,7 +474,7 @@ def test_deliverable_pairs_enumeration():
     engine, _, ll, g1, g2 = two_groups()
     ll.bridge_attach("b1", g2)
     expected = {("a1", "b1"), ("a2", "b2"), ("b1", "b2")}
-    assert ll.deliverable_pairs() == expected
+    assert deliverable_pairs(ll) == expected
     # every other pair must be rejected at this layer
     nodes = ["a1", "b1", "b2", "a2"]
     for i, src in enumerate(nodes):
@@ -529,7 +530,7 @@ def test_owner_of_a_dissolved_group_keeps_no_bridge():
     ll.bridge_attach("b1", g2)
     ll.leave_group("a1")  # g1 empties and dissolves
     assert ll.state("b1") is DeviceState.IDLE
-    assert ll.peers("b1") == set()
+    assert peers(ll, "b1") == set()
     ll.check_consistency()
 
 

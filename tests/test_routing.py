@@ -17,7 +17,7 @@ from wfdsim.routing import (INFINITE_HOPS, AdvertEntry, LinkMetrics,
                             TableAdvert, TrafficClass, _consider, merge_advert,
                             merge_full_dump, select_route)
 
-from conftest import make_sim, trace_records
+from conftest import make_sim, peers, trace_records
 
 
 LINK = LinkMetrics(latency_us=2000, energy_cost=1.0)
@@ -841,7 +841,7 @@ def test_incremental_stream_reconstructs_tables():
         # nobody left to hear it).  Sequence numbers may refresh silently
         # after the last advert, so only the route content is compared.
         for node, shadow in shadows.items():
-            if not sim.linklayer.peers(node):
+            if not peers(sim.linklayer, node):
                 continue
             table = sim.table(node)
             for dest, (seq, hops, lat, en) in shadow.items():

@@ -60,6 +60,29 @@ def test_unknown_bundled_name_rejected():
         load_scenario("nope")
 
 
+def test_a_mapping_runs_without_importing_the_yaml_parser(tmp_path):
+    # only text goes through the parser: a mapping is loaded, run and
+    # summarised without it, and a file and a bundled name still parse
+    doc = variant(traffic=[{"at_ms": 4000, "src": "a", "dst": "b",
+                            "payload_bits": 8000}])
+    path = tmp_path / "pair.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    program = f"""
+import sys
+import wfdsim
+scenario = wfdsim.load_scenario({doc!r})
+summary = wfdsim.Simulation(scenario).run()
+assert [f.outcome for f in summary.flows] == ["DELIVERED"], summary.flows
+assert "yaml" not in sys.modules, "loading a mapping imported yaml"
+assert wfdsim.load_scenario({str(path)!r}) == scenario
+assert [n.id for n in wfdsim.load_scenario("chain4").nodes] == list("ABCD")
+assert "yaml" in sys.modules
+"""
+    result = subprocess.run([sys.executable, "-c", program],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 def test_duplicate_node_id_names_the_id():
     doc = variant()
     doc["nodes"].append({"id": "a", "pos": [50, 0]})

@@ -1,9 +1,10 @@
 """build_summary against a reference that parses every field of every line.
 
 The reference below is `build_summary` as it was when it built a
-`ParsedRecord` and a full `key=value` dict for each line.  The summary
-must stay a pure function of the trace text, so any trace text, well
-formed or not, must give the reference's `Summary` or its `ValueError`.
+`ParsedRecord` and a full `key=value` dict for each line, with a flow
+`IN_FLIGHT` until a record ends it.  The summary must stay a pure function
+of the trace text, so any trace text, well formed or not, must give the
+reference's `Summary` or its `ValueError`.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def reference_build_summary(lines) -> Summary:
                                                  d.get("cls", "-"))
                     starts[app_seq] = rec.time_us
                 flow = flows.get(app_seq)
-                if flow is not None and flow.outcome == "LOST" and \
+                if flow is not None and flow.outcome == "IN_FLIGHT" and \
                         d["src"] == flow.src:
                     flow.path.append(rec.node)
             elif rec.event_class == "DELIVER":
@@ -60,7 +61,7 @@ def reference_build_summary(lines) -> Summary:
                                        d.get("cls", "-"))
                     flows[app_seq] = flow
                     starts[app_seq] = rec.time_us
-                if flow.outcome == "LOST" and flow.latency_us is None:
+                if flow.outcome == "IN_FLIGHT" and flow.latency_us is None:
                     flow.outcome = "DELIVERED"
                     flow.latency_us = rec.time_us - starts[app_seq]
                     flow.path.append(rec.node)
@@ -74,7 +75,7 @@ def reference_build_summary(lines) -> Summary:
                         flow = FlowSummary(app_seq, d["src"], d["dst"],
                                            d.get("cls", "-"))
                         flows[app_seq] = flow
-                    if flow is not None and flow.outcome == "LOST" and \
+                    if flow is not None and flow.outcome == "IN_FLIGHT" and \
                             flow.latency_us is None:
                         flow.outcome = _TERMINAL_DROPS[reason]
             elif rec.event_class == "ADVERT":

@@ -10,7 +10,8 @@ from wfdsim.transfer import DeliveryOutcome, RoleConflictError
 from wfdsim.simulation import Simulation
 from wfdsim.topology import Position
 
-from conftest import CHAIN4_NODES, CHAIN4_SCRIPT, make_sim, trace_records
+from conftest import (CHAIN4_NODES, CHAIN4_SCRIPT, deliverable_pairs,
+                      make_sim, trace_records)
 
 
 def deliveries(sim, node):
@@ -85,7 +86,7 @@ def test_connect_two_owners_bridges():
         script=[(0, "connect", "a1", "b1"), (0, "connect", "b2", "a2"),
                 (3, "connect", "b1", "b2")])
     sim.run_until(5 * SECOND)
-    assert ("b1", "b2") in sim.linklayer.deliverable_pairs()
+    assert ("b1", "b2") in deliverable_pairs(sim.linklayer)
     assert ("b1", "b2", "up") in connect_outcomes(sim)
 
 
@@ -117,7 +118,7 @@ def test_stale_discovery_of_departed_peer_fails_the_connect(seed):
     ll = sim.linklayer
     assert ll.state("A") is DeviceState.IDLE
     assert ll.state("B") is DeviceState.IDLE
-    assert ("C", "D") in ll.deliverable_pairs()
+    assert ("C", "D") in deliverable_pairs(ll)
     ll.check_consistency()
     assert [o for o in connect_outcomes(sim) if o[:2] == ("A", "B")] == \
         [("A", "B", "up"), ("A", "B", "failed")]
@@ -188,6 +189,7 @@ def test_send_to_peer_that_moved_away_reports_lost_and_invalidates():
     report = sim.transfer.report(seq)
     assert report.outcome is DeliveryOutcome.LOST
     assert not sim.table("a").primary("b").valid
+    assert sim.summary().flows[0].outcome == "LOST"
 
 
 def test_send_to_a_hop_that_shares_no_group_reports_lost_and_invalidates():
@@ -206,7 +208,9 @@ def test_send_to_a_hop_that_shares_no_group_reports_lost_and_invalidates():
     assert not sim.table("a").primary("b").valid
     drops = trace_records(sim.trace, EventClass.DROP)
     assert [(p.node, p.details) for p in drops] == \
-        [("a", {"reason": "lost", "dst": "b", "detail": "no_link"})]
+        [("a", {"reason": "lost", "dst": "b", "detail": "no_link",
+                "app_seq": str(seq)})]
+    assert sim.summary().flows[0].outcome == "LOST"
 
 
 # ----------------------------------------------------------------------
@@ -255,12 +259,12 @@ REPORT_CASES = {name: (lambda name=name: Simulation.from_source(name))
 REPORT_CASES["self_send"] = chain4_with_self_send
 
 
-def slow_link():
+def slow_link(duration_ms=80_000):
     # one 35,000-bit send over a 1 kbit/s hop: the frame is on the air for
     # 35 s, and the flow ends only when it arrives
     radio = {"data_rate_bps": 1000}
     return Simulation.from_source({
-        "sim": {"duration_ms": 80_000},
+        "sim": {"duration_ms": duration_ms},
         "nodes": [{"id": "a", "pos": [0, 0], "go_intent": 9, **radio},
                   {"id": "b", "pos": [100, 0], "go_intent": 1, **radio}],
         "script": [{"at_ms": 0, "action": "connect", "from": "a",
@@ -271,6 +275,8 @@ def slow_link():
 
 
 REPORT_CASES["slow_link"] = slow_link
+# the run ends while the frame is still on the air
+REPORT_CASES["slow_link_in_flight"] = lambda: slow_link(duration_ms=20_000)
 
 
 @pytest.mark.parametrize("case", sorted(REPORT_CASES))
@@ -282,7 +288,9 @@ def test_delivered_path_consistent_with_trace(case):
     summary = sim.run()
     flows = {f.app_seq: f for f in summary.flows}
     sends = list(range(len(sim.scenario.traffic)))
-    assert sends and sorted(sim.transfer.reports) == sends
+    assert sends and sorted(flows) == sends
+    assert sorted(sim.transfer.reports) == \
+        [seq for seq in sends if flows[seq].outcome != "IN_FLIGHT"]
     for seq in sends:
         report, flow = sim.transfer.report(seq), flows[seq]
         assert (report.outcome.value, report.src, report.dst) == \
@@ -300,4 +308,17 @@ def test_slow_link_delivery_reports_its_whole_latency():
     report = sim.transfer.report(0)
     assert report.outcome is DeliveryOutcome.DELIVERED
     assert report.latency_us == 35_002_000
+
+
+def test_a_flow_still_in_flight_at_the_end_reads_in_flight():
+    # cut 15 s into the frame's 35 s on the air: neither the report nor
+    # the summary may call the flow lost
+    sim = REPORT_CASES["slow_link_in_flight"]()
+    flow, = sim.run().flows
+    report = sim.transfer.report(0)
+    assert (report.outcome, report.path, report.latency_us) == \
+        (DeliveryOutcome.IN_FLIGHT, [], None)
+    assert (flow.outcome, flow.path, flow.latency_us) == \
+        ("IN_FLIGHT", ["a"], None)
+    assert sim.transfer.reports == {}
 
