@@ -79,7 +79,7 @@ assert [n.id for n in wfdsim.load_scenario("chain4").nodes] == list("ABCD")
 assert "yaml" in sys.modules
 """
     result = subprocess.run([sys.executable, "-c", program],
-                            capture_output=True, text=True)
+                            capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
 
 

@@ -275,26 +275,37 @@ def slow_link(duration_ms=80_000):
 
 
 REPORT_CASES["slow_link"] = slow_link
-# the run ends while the frame is still on the air
+# cut 15 s into the frame's 35 s on the air: the run ends with the flow
+# still in flight, and neither its report nor its summary may call it lost
 REPORT_CASES["slow_link_in_flight"] = lambda: slow_link(duration_ms=20_000)
+# the sends still in flight when each case ends, with the path the summary
+# has traced so far; every other send settles within the run
+IN_FLIGHT_AT_END = {"slow_link_in_flight": {0: ["a"]}}
 
 
 @pytest.mark.parametrize("case", sorted(REPORT_CASES))
 def test_delivered_path_consistent_with_trace(case):
     # every send's report agrees with the flow the summary derives from
     # the trace: outcome and endpoints always, path and latency when
-    # delivered
+    # delivered or still in flight
     sim = REPORT_CASES[case]()
     summary = sim.run()
     flows = {f.app_seq: f for f in summary.flows}
     sends = list(range(len(sim.scenario.traffic)))
+    in_flight = IN_FLIGHT_AT_END.get(case, {})
     assert sends and sorted(flows) == sends
     assert sorted(sim.transfer.reports) == \
-        [seq for seq in sends if flows[seq].outcome != "IN_FLIGHT"]
+        [seq for seq in sends if seq not in in_flight]
     for seq in sends:
         report, flow = sim.transfer.report(seq), flows[seq]
         assert (report.outcome.value, report.src, report.dst) == \
             (flow.outcome, flow.src, flow.dst)
+        if seq in in_flight:
+            assert (report.outcome, report.path, report.latency_us) == \
+                (DeliveryOutcome.IN_FLIGHT, [], None)
+            assert (flow.path, flow.latency_us) == (in_flight[seq], None)
+        else:
+            assert report.outcome is not DeliveryOutcome.IN_FLIGHT
         if report.outcome is DeliveryOutcome.DELIVERED:
             assert (report.path, report.latency_us) == \
                 (flow.path, flow.latency_us)
@@ -308,17 +319,3 @@ def test_slow_link_delivery_reports_its_whole_latency():
     report = sim.transfer.report(0)
     assert report.outcome is DeliveryOutcome.DELIVERED
     assert report.latency_us == 35_002_000
-
-
-def test_a_flow_still_in_flight_at_the_end_reads_in_flight():
-    # cut 15 s into the frame's 35 s on the air: neither the report nor
-    # the summary may call the flow lost
-    sim = REPORT_CASES["slow_link_in_flight"]()
-    flow, = sim.run().flows
-    report = sim.transfer.report(0)
-    assert (report.outcome, report.path, report.latency_us) == \
-        (DeliveryOutcome.IN_FLIGHT, [], None)
-    assert (flow.outcome, flow.path, flow.latency_us) == \
-        ("IN_FLIGHT", ["a"], None)
-    assert sim.transfer.reports == {}
-
