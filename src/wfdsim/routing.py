@@ -15,6 +15,10 @@ hop count requirement keeps every candidate strictly closer to the
 destination, which is what makes per-hop class selection loop-free once
 tables have converged.
 
+A node that drops a packet for want of a route relays a
+`RouteErrorNotice` toward the packet's source; it has no effect once it
+reaches the source, which changes no table on it.
+
 Merging skips, before building any entry, the advertised candidates that
 cannot change the table.  Against the destination's primary these are: an
 older sequence number (freshness-first rejects it outright); an equal

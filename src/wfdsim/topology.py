@@ -5,7 +5,7 @@ Reachability is a symmetric disc model: two nodes are in range iff their
 Euclidean distance is at most the smaller of the two radio ranges.  Range
 comparisons use squared distances so no square root enters the decision.
 Neighbor sets are maintained on add and move, so a range query is a set
-lookup and a move's flips are the difference between its old and new sets.
+lookup and a move updates only the sets of the peers it left or reached.
 A query for a pair in range is that one lookup; the id checks run only
 when it misses.
 """
@@ -88,12 +88,9 @@ class Topology:
         self._check(node)
         return set(self._near[node])
 
-    def apply_move(self, node: NodeId, new_pos: Position) -> list[tuple[NodeId, bool]]:
-        """Move a node; returns the (peer, now_in_range) relationships that
-        flipped, in peer-id order.  An identity move flips nothing."""
+    def apply_move(self, node: NodeId, new_pos: Position) -> None:
+        """Move a node, and the node out of or into its peers' sets."""
         self._check(node)
-        if new_pos == self._positions[node]:
-            return []
         before = self._near[node]
         self._positions[node] = new_pos
         after = self._near[node] = self._reach(node)
@@ -101,7 +98,6 @@ class Topology:
             self._near[peer].discard(node)
         for peer in after - before:
             self._near[peer].add(node)
-        return [(peer, peer in after) for peer in sorted(before ^ after)]
 
     def _reach(self, node: NodeId) -> set[NodeId]:
         """The other nodes in range of `node` at the current positions."""

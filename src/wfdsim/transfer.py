@@ -11,15 +11,16 @@ arrivals, losses and link changes on to the routing agents.
 A connect's outcome is its `CONNECT` records (`request`, then `up` or
 `failed`); the transfer layer keeps no connection state of its own.
 
-A flow's report is written once, at the traced event that ends its
+`app_send` puts the flow's report into `reports` at once, reading
+`IN_FLIGHT`, as the summary does for a flow with no record that ends it.
+The report is ended in place, once, at the traced event that ends its
 packet: the `DELIVER` record, the `DROP` of a TTL expiry or a missing
 route, or the `DROP reason=lost` of a frame that found no link or did not
 arrive, which names the packet's `app_seq`.  A packet travels as one
 unicast frame per hop and stops at its destination, so it ends exactly
-once; until then `report` reads `IN_FLIGHT`, as the summary does for a
-flow with no such record.  A delivery report's path is the one the packet
-recorded on itself as it was forwarded (`Packet.path`), plus the node that
-delivered it; the transfer layer never reads the trace back.
+once.  A delivery report's path is the one the packet recorded on itself
+as it was forwarded (`Packet.path`), plus the node that delivered it; the
+transfer layer never reads the trace back.
 """
 
 from __future__ import annotations
@@ -57,26 +58,19 @@ class DeliveryReport:
     outcome: DeliveryOutcome
     path: list[NodeId]
     latency_us: int | None
-
-
-@dataclass
-class _PendingFlow:
-    src: NodeId
-    dst: NodeId
     sent_at: int
 
 
 class TransferLayer(LinkEvents):
     """Per-simulation transfer plane: wraps packets in frames, dispatches
-    arrivals up to the routing agents, and writes each flow's report at the
-    traced event that ends it."""
+    arrivals up to the routing agents, and keeps each flow's one report
+    from `app_send` to the traced event that ends it."""
 
     def __init__(self, engine: Engine, linklayer: LinkLayer):
         self.engine = engine
         self.linklayer = linklayer
         self.agents: dict[NodeId, RoutingAgent] = {}
         self._next_app_seq = 0
-        self._pending: dict[int, _PendingFlow] = {}
         self.reports: dict[int, DeliveryReport] = {}
         linklayer.upper = self
 
@@ -260,7 +254,9 @@ class TransferLayer(LinkEvents):
             raise KeyError(f"unknown node {src!r}")
         app_seq = self._next_app_seq
         self._next_app_seq += 1
-        self._pending[app_seq] = _PendingFlow(src, dst, self.engine.now())
+        self.reports[app_seq] = DeliveryReport(
+            app_seq, src, dst, DeliveryOutcome.IN_FLIGHT, [], None,
+            self.engine.now())
         if dst == src:
             self.deliver_local(src, Packet(src, dst, app_seq, 0,
                                            traffic_class, payload_bits))
@@ -287,21 +283,11 @@ class TransferLayer(LinkEvents):
 
     def _finalize(self, app_seq: int, outcome: DeliveryOutcome,
                   path: list[NodeId] | None = None) -> None:
-        """Record the flow's one report; path is given for deliveries."""
-        flow = self._pending.pop(app_seq, None)
-        if flow is None:
-            return  # a packet that no app_send made
-        latency: int | None = None
+        """End the flow's report in place; path is given for deliveries."""
+        report = self.reports.get(app_seq)
+        if report is None or report.outcome is not DeliveryOutcome.IN_FLIGHT:
+            return  # a packet that no app_send made, or a flow that ended
+        report.outcome = outcome
         if outcome is DeliveryOutcome.DELIVERED:
-            latency = self.engine.now() - flow.sent_at
-        self.reports[app_seq] = DeliveryReport(app_seq, flow.src, flow.dst,
-                                               outcome, path or [], latency)
-
-    def report(self, app_seq: int) -> DeliveryReport | None:
-        """The flow's report; `IN_FLIGHT` while its packet has not ended,
-        None for an app_seq that no app_send made."""
-        flow = self._pending.get(app_seq)
-        if flow is not None:
-            return DeliveryReport(app_seq, flow.src, flow.dst,
-                                  DeliveryOutcome.IN_FLIGHT, [], None)
-        return self.reports.get(app_seq)
+            report.path = path
+            report.latency_us = self.engine.now() - report.sent_at

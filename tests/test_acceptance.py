@@ -367,7 +367,7 @@ def test_criterion_6_oracle_equivalence_and_loop_freedom():
             if seq in sent:
                 visits.setdefault(seq, []).append(p.node)
         for seq, (s, d) in sent.items():
-            assert sim.transfer.report(seq).outcome is \
+            assert sim.transfer.reports[seq].outcome is \
                 DeliveryOutcome.DELIVERED
             path = visits[seq] + [d]
             assert len(set(path)) == len(path), \
@@ -390,7 +390,7 @@ def test_criterion_7_single_hop_transfer_34ms():
     assert sim.linklayer.transmit_delay_us("a", 8_000_000) == 34 * MS
     seq = sim.transfer.app_send("a", "b", 8_000_000, TrafficClass.BULK)
     sim.run_until(4 * SECOND)
-    report = sim.transfer.report(seq)
+    report = sim.transfer.reports[seq]
     assert report.outcome is DeliveryOutcome.DELIVERED
     assert report.latency_us == 34 * MS, \
         f"1 MB single hop took {report.latency_us} us, expected 34000"

@@ -5,6 +5,10 @@ change updates these digests and says why."""
 
 import hashlib
 import io
+import json
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -13,6 +17,7 @@ from wfdsim.simulation import Simulation
 from wfdsim.summary import build_summary
 
 from conftest import load_bench_module
+from test_transfer import slow_link_scenario
 
 GOLDEN = {
     "chain4":
@@ -80,6 +85,47 @@ def test_bench_workload_trace_digest_is_pinned(name):
     sim.run_until(scenario.sim.duration_us)
     assert sim.trace.sha256() == WORKLOAD_GOLDEN[name]
     assert sim.engine.steps == WORKLOAD_STEPS[name]
+
+
+CHILD = pathlib.Path(__file__).resolve().parent.parent / "bench" / "child.py"
+
+# bench/child.py's output check on whole runs, in a child process (-B
+# writes no bytecode next to bench/); prints name -> [problems, failed
+# sends, sends]
+_CHECK_OUTPUTS = """
+import json, runpy, sys
+from wfdsim.simulation import Simulation
+child = runpy.run_path(sys.argv[1])
+sources = {"slow_link_in_flight": json.loads(sys.argv[2])}
+for name in sys.argv[3:]:
+    sources[name] = child["workloads"].generate(name, 1)
+out = {}
+for name, source in sources.items():
+    sim = Simulation.from_source(source)
+    summary = sim.run()
+    problems, failed = child["_check_outputs"](sim.scenario, sim, summary,
+                                               sim.trace.dump())
+    out[name] = [problems, failed, len(sim.scenario.traffic)]
+print(json.dumps(out))
+"""
+
+# what the check returns on each run: a flow still in flight at the end is
+# counted as failed but is no problem, and the seed-1 workloads fail a
+# fixed number of sends per run, which the benchmark's `failed` sums
+BENCH_CHECKS = {"slow_link_in_flight": [[], 1, 1],
+                "chain_long": [[], 0, 24],
+                "flows_many": [[], 0, 1000],
+                "churn_grid": [[], 5, 150]}
+
+
+def test_bench_output_check_is_pinned():
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", _CHECK_OUTPUTS, str(CHILD),
+         json.dumps(slow_link_scenario(duration_ms=20_000)),
+         *sorted(WORKLOAD_GOLDEN)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == BENCH_CHECKS
 
 
 # sha256 of `summary().to_text()` for each pinned trace: the trace digests

@@ -83,17 +83,25 @@ def test_move_breaks_range():
     assert not topo.in_range("C", "D")
 
 
+def all_neighbors(topo):
+    return {node: topo.neighbors(node) for node in "ABCD"}
+
+
 def test_identity_move_notifies_nobody():
     topo = chain()
-    changes = topo.apply_move("B", Position(150.0, 0.0))
-    assert changes == []
+    before = all_neighbors(topo)
+    assert before["B"] == {"A", "C"}
+    assert topo.apply_move("B", Position(150.0, 0.0)) is None
+    assert all_neighbors(topo) == before
 
 
 def test_move_away_empties_neighbor_sets():
     topo = chain()
-    changes = topo.apply_move("B", Position(5_000, 5_000))
-    assert topo.neighbors("A") == set()
-    assert changes == [("A", False), ("C", False)]
+    assert all_neighbors(topo) == {"A": {"B"}, "B": {"A", "C"},
+                                   "C": {"B", "D"}, "D": {"C"}}
+    topo.apply_move("B", Position(5_000, 5_000))
+    assert all_neighbors(topo) == {"A": set(), "B": set(), "C": {"D"},
+                                   "D": {"C"}}
 
 
 def test_duplicate_node_rejected():
@@ -144,11 +152,10 @@ def test_neighbors_agree_with_brute_force(points, moves):
     for idx, (x, y) in moves:
         if idx < len(names):
             mover = names[idx]
-            before = brute_neighbors(mover)
-            flips = topo.apply_move(mover, Position(x, y))
-            after = brute_neighbors(mover)
-            assert flips == [(peer, peer in after)
-                             for peer in sorted(before ^ after)]
+            assert topo.neighbors(mover) == brute_neighbors(mover)
+            topo.apply_move(mover, Position(x, y))
+            for node in names:
+                assert topo.neighbors(node) == brute_neighbors(node)
 
     for node in names:
         assert node not in topo.neighbors(node)

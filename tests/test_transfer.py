@@ -162,7 +162,7 @@ def test_one_megabyte_single_hop_takes_exactly_34_ms():
     sim.run_until(3 * SECOND)
     seq = sim.transfer.app_send("b", "a", 8_000_000, TrafficClass.BULK)
     sim.run_until(5 * SECOND)
-    report = sim.transfer.report(seq)
+    report = sim.transfer.reports[seq]
     assert report.outcome is DeliveryOutcome.DELIVERED
     assert report.latency_us == 34 * MS
 
@@ -172,7 +172,7 @@ def test_zero_payload_still_pays_mac_latency():
     sim.run_until(3 * SECOND)
     seq = sim.transfer.app_send("a", "b", 0, TrafficClass.REAL_TIME)
     sim.run_until(5 * SECOND)
-    report = sim.transfer.report(seq)
+    report = sim.transfer.reports[seq]
     assert report.outcome is DeliveryOutcome.DELIVERED
     assert report.latency_us == 2 * MS
 
@@ -186,7 +186,7 @@ def test_send_to_peer_that_moved_away_reports_lost_and_invalidates():
     sim.run_until(3 * SECOND + 10 * MS)
     sim.topology.apply_move("b", Position(9000.0, 9000.0))
     sim.run_until(5 * SECOND)
-    report = sim.transfer.report(seq)
+    report = sim.transfer.reports[seq]
     assert report.outcome is DeliveryOutcome.LOST
     assert not sim.table("a").primary("b").valid
     assert sim.summary().flows[0].outcome == "LOST"
@@ -204,7 +204,7 @@ def test_send_to_a_hop_that_shares_no_group_reports_lost_and_invalidates():
     assert sim.linklayer.unicast_group("a", "b") is None
     seq = sim.transfer.app_send("a", "b", 100, TrafficClass.REAL_TIME)
     sim.run_until(3 * SECOND + 1 * MS)
-    assert sim.transfer.report(seq).outcome is DeliveryOutcome.LOST
+    assert sim.transfer.reports[seq].outcome is DeliveryOutcome.LOST
     assert not sim.table("a").primary("b").valid
     drops = trace_records(sim.trace, EventClass.DROP)
     assert [(p.node, p.details) for p in drops] == \
@@ -220,7 +220,7 @@ def test_self_send_is_a_degenerate_local_delivery():
     sim = pair_sim()
     sim.run_until(3 * SECOND)
     seq = sim.transfer.app_send("a", "a", 123, TrafficClass.REAL_TIME)
-    report = sim.transfer.report(seq)
+    report = sim.transfer.reports[seq]
     assert report.outcome is DeliveryOutcome.DELIVERED
     assert report.path == ["a"]
     assert report.latency_us == 0
@@ -233,7 +233,7 @@ def test_send_to_unreachable_destination_reports_no_route():
     sim.run_until(3 * SECOND)
     seq = sim.transfer.app_send("a", "z", 100, TrafficClass.REAL_TIME)
     sim.run_until(4 * SECOND)
-    assert sim.transfer.report(seq).outcome is DeliveryOutcome.NO_ROUTE
+    assert sim.transfer.reports[seq].outcome is DeliveryOutcome.NO_ROUTE
 
 
 def test_deliveries_in_order_and_exactly_once():
@@ -259,11 +259,11 @@ REPORT_CASES = {name: (lambda name=name: Simulation.from_source(name))
 REPORT_CASES["self_send"] = chain4_with_self_send
 
 
-def slow_link(duration_ms=80_000):
+def slow_link_scenario(duration_ms=80_000):
     # one 35,000-bit send over a 1 kbit/s hop: the frame is on the air for
     # 35 s, and the flow ends only when it arrives
     radio = {"data_rate_bps": 1000}
-    return Simulation.from_source({
+    return {
         "sim": {"duration_ms": duration_ms},
         "nodes": [{"id": "a", "pos": [0, 0], "go_intent": 9, **radio},
                   {"id": "b", "pos": [100, 0], "go_intent": 1, **radio}],
@@ -271,7 +271,11 @@ def slow_link(duration_ms=80_000):
                     "to": "b"}],
         "traffic": [{"at_ms": 5000, "src": "a", "dst": "b",
                      "payload_bits": 35_000}],
-    })
+    }
+
+
+def slow_link(duration_ms=80_000):
+    return Simulation.from_source(slow_link_scenario(duration_ms))
 
 
 REPORT_CASES["slow_link"] = slow_link
@@ -283,39 +287,61 @@ REPORT_CASES["slow_link_in_flight"] = lambda: slow_link(duration_ms=20_000)
 IN_FLIGHT_AT_END = {"slow_link_in_flight": {0: ["a"]}}
 
 
-@pytest.mark.parametrize("case", sorted(REPORT_CASES))
-def test_delivered_path_consistent_with_trace(case):
-    # every send's report agrees with the flow the summary derives from
-    # the trace: outcome and endpoints always, path and latency when
-    # delivered or still in flight
-    sim = REPORT_CASES[case]()
-    summary = sim.run()
-    flows = {f.app_seq: f for f in summary.flows}
-    sends = list(range(len(sim.scenario.traffic)))
-    in_flight = IN_FLIGHT_AT_END.get(case, {})
-    assert sends and sorted(flows) == sends
-    assert sorted(sim.transfer.reports) == \
-        [seq for seq in sends if seq not in in_flight]
-    for seq in sends:
-        report, flow = sim.transfer.report(seq), flows[seq]
+def assert_reports_match_the_summary(sim):
+    """One report per send so far, agreeing with the flow the summary
+    derives from the trace: outcome and endpoints always, path and latency
+    once delivered, no latency and (in the report) no path before."""
+    flows = {f.app_seq: f for f in sim.summary().flows}
+    reports = sim.transfer.reports
+    assert sorted(reports) == sorted(flows) == \
+        list(range(sim.transfer._next_app_seq))
+    for seq, report in reports.items():
+        flow = flows[seq]
         assert (report.outcome.value, report.src, report.dst) == \
             (flow.outcome, flow.src, flow.dst)
-        if seq in in_flight:
-            assert (report.outcome, report.path, report.latency_us) == \
-                (DeliveryOutcome.IN_FLIGHT, [], None)
-            assert (flow.path, flow.latency_us) == (in_flight[seq], None)
-        else:
-            assert report.outcome is not DeliveryOutcome.IN_FLIGHT
         if report.outcome is DeliveryOutcome.DELIVERED:
             assert (report.path, report.latency_us) == \
                 (flow.path, flow.latency_us)
             assert report.path[0] == report.src
             assert report.path[-1] == report.dst
+        else:
+            assert (report.latency_us, flow.latency_us) == (None, None)
+        if report.outcome is DeliveryOutcome.IN_FLIGHT:
+            assert report.path == []
+    return flows
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_CASES))
+def test_delivered_path_consistent_with_trace(case):
+    # checked after every simulated second, so a report must agree with
+    # the summary at any point of the run, not only at its end
+    sim = REPORT_CASES[case]()
+    duration = sim.scenario.sim.duration_us
+    for t in range(SECOND, duration + SECOND, SECOND):
+        sim.run_until(min(t, duration))
+        flows = assert_reports_match_the_summary(sim)
+    sends = list(range(len(sim.scenario.traffic)))
+    in_flight = IN_FLIGHT_AT_END.get(case, {})
+    assert sends and sorted(sim.transfer.reports) == sends
+    for seq in sends:
+        report, flow = sim.transfer.reports[seq], flows[seq]
+        if seq in in_flight:
+            assert report.outcome is DeliveryOutcome.IN_FLIGHT
+            assert flow.path == in_flight[seq]
+        else:
+            assert report.outcome is not DeliveryOutcome.IN_FLIGHT
 
 
 def test_slow_link_delivery_reports_its_whole_latency():
+    # the report app_send made is the one the delivery ends
     sim = slow_link()
+    sim.run_until(20 * SECOND)
+    report = sim.transfer.reports[0]
+    assert (report.outcome, report.path, report.latency_us,
+            report.sent_at) == (DeliveryOutcome.IN_FLIGHT, [], None,
+                                5 * SECOND)
     sim.run()
-    report = sim.transfer.report(0)
+    assert sim.transfer.reports[0] is report
     assert report.outcome is DeliveryOutcome.DELIVERED
+    assert report.path == ["a", "b"]
     assert report.latency_us == 35_002_000
