@@ -5,11 +5,12 @@ from __future__ import annotations
 import os
 import pathlib
 import types
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
 
-from wfdsim.engine import Engine, SECOND
+from wfdsim.engine import Engine, EventClass, SECOND
 from wfdsim.linklayer import LinkLayer, LinkConfig
 from wfdsim.scenario import (NodeSpec, Scenario, ScriptDirective, SimSettings,
                              TrafficSpec)
@@ -64,6 +65,29 @@ def trace_records(trace, event_class=None, action=None):
         if action is None or rec.details.get("action") == action:
             out.append(rec)
     return out
+
+
+def connect_ends(trace):
+    """Match each `CONNECT action=request` of a (node, peer) with the `up`
+    or `failed` record of that pair that ends it.  Returns the ends by
+    action, how many ends followed no open request (a connect refused at
+    once, or one whose client had already joined), and the pairs whose
+    request is still open.  A second request of a pair whose first is
+    still open fails the check."""
+    ends, unmatched, open_pairs = Counter(), 0, set()
+    for rec in trace_records(trace, EventClass.CONNECT):
+        pair, action = (rec.node, rec.details["peer"]), rec.details["action"]
+        if action == "request":
+            assert pair not in open_pairs, \
+                f"{pair} requested again at {rec.time_us} while open"
+            open_pairs.add(pair)
+        elif action in ("up", "failed"):
+            ends[action] += 1
+            if pair in open_pairs:
+                open_pairs.remove(pair)
+            else:
+                unmatched += 1
+    return dict(ends), unmatched, sorted(open_pairs)
 
 
 def peers(linklayer, node):

@@ -16,7 +16,7 @@ from wfdsim.scenario import load_scenario
 from wfdsim.simulation import Simulation
 from wfdsim.summary import build_summary
 
-from conftest import load_bench_module
+from conftest import connect_ends, load_bench_module
 from test_transfer import slow_link_scenario
 
 GOLDEN = {
@@ -36,6 +36,8 @@ def test_bundled_scenario_trace_digest_is_pinned(name):
     sim = Simulation.from_source(name)
     sim.run()
     assert sim.trace.sha256() == GOLDEN[name]
+    # every connect the scenario requests ends once, and nothing else ends
+    assert connect_ends(sim.trace)[1:] == (0, [])
 
 
 def test_summary_mid_run_keeps_later_records_in_the_trace():
@@ -73,6 +75,12 @@ WORKLOAD_GOLDEN = {
 WORKLOAD_STEPS = {"chain_long": 32_685, "flows_many": 7_880,
                   "churn_grid": 19_529}
 
+# seed-1 ends of each workload's connects: every `request` is ended by
+# exactly one `up` or `failed` of its pair, and no end is without one
+WORKLOAD_CONNECT_ENDS = {"chain_long": ({"up": 127}, 0, []),
+                         "flows_many": ({"up": 15}, 0, []),
+                         "churn_grid": ({"up": 77, "failed": 5}, 0, [])}
+
 
 def _bench_workloads():
     return load_bench_module("workloads")
@@ -85,6 +93,7 @@ def test_bench_workload_trace_digest_is_pinned(name):
     sim.run_until(scenario.sim.duration_us)
     assert sim.trace.sha256() == WORKLOAD_GOLDEN[name]
     assert sim.engine.steps == WORKLOAD_STEPS[name]
+    assert connect_ends(sim.trace) == WORKLOAD_CONNECT_ENDS[name]
 
 
 CHILD = pathlib.Path(__file__).resolve().parent.parent / "bench" / "child.py"

@@ -4,14 +4,15 @@ delivery reporting."""
 import pytest
 
 from wfdsim.engine import MS, SECOND, EventClass
-from wfdsim.linklayer import DeviceState, LinkEvents, OutOfRangeError
+from wfdsim.linklayer import (BridgingPolicy, DeviceState, LinkConfig,
+                              LinkEvents, OutOfRangeError)
 from wfdsim.routing import TrafficClass
 from wfdsim.transfer import DeliveryOutcome, RoleConflictError
 from wfdsim.simulation import Simulation
 from wfdsim.topology import Position
 
-from conftest import (CHAIN4_NODES, CHAIN4_SCRIPT, deliverable_pairs,
-                      make_sim, trace_records)
+from conftest import (CHAIN4_NODES, CHAIN4_SCRIPT, connect_ends,
+                      deliverable_pairs, make_sim, trace_records)
 
 
 def deliveries(sim, node):
@@ -99,7 +100,15 @@ def test_connection_closes_when_link_dies():
     assert sim.linklayer.unicast_group("a", "b") is None
 
 
-@pytest.mark.parametrize("seed", range(1, 9))
+# how A's second connect fails at each seed: negotiation refused at once
+# when the stale pair ends A's session, else the discovery timeout
+STALE_DISCOVERY_REASON = {1: "OutOfRangeError", 2: "OutOfRangeError",
+                          3: "OutOfRangeError", 4: "discovery_timeout",
+                          5: "OutOfRangeError", 6: "discovery_timeout",
+                          7: "OutOfRangeError", 8: "discovery_timeout"}
+
+
+@pytest.mark.parametrize("seed", sorted(STALE_DISCOVERY_REASON))
 def test_stale_discovery_of_departed_peer_fails_the_connect(seed):
     # A and B discover each other and group; A walks away (the group
     # dissolves) and back.  B walks off after the second A->B connect
@@ -120,8 +129,10 @@ def test_stale_discovery_of_departed_peer_fails_the_connect(seed):
     assert ll.state("B") is DeviceState.IDLE
     assert ("C", "D") in deliverable_pairs(ll)
     ll.check_consistency()
-    assert [o for o in connect_outcomes(sim) if o[:2] == ("A", "B")] == \
-        [("A", "B", "up"), ("A", "B", "failed")]
+    assert [(r.details["action"], r.details.get("reason"))
+            for r in trace_records(sim.trace, EventClass.CONNECT)
+            if r.node == "A" and r.details["action"] != "request"] == \
+        [("up", None), ("failed", STALE_DISCOVERY_REASON[seed])]
 
 
 def test_connect_fails_when_the_pair_drifts_apart_during_wps():
@@ -152,6 +163,98 @@ def test_discovery_timeout_fails_the_connect_once():
               if p.details["action"] == "failed"]
     assert [(p.node, p.details["reason"]) for p in failed] == \
         [("a", "discovery_timeout")]
+
+
+BRIDGE_NODES = [("a", 0, 0, 12), ("b", 100, 0, 2), ("c", 150, 0, 13),
+                ("d", 250, 0, 3)]
+GROUP_CONNECTS = [(0, "connect", "b", "a"), (0, "connect", "d", "c")]
+
+
+def connect_lines(sim):
+    """The run's CONNECT records as trace lines."""
+    return [line for line in sim.trace.lines()
+            if line.split(" ", 3)[2] == EventClass.CONNECT.value]
+
+
+# one run for each way a directive or a connect ends, with every CONNECT
+# record it writes
+CONNECT_CASES = {
+    # the bridge retries every 500 ms until both groups exist
+    "bridge_before_groups": (
+        lambda: make_sim(BRIDGE_NODES,
+                         GROUP_CONNECTS + [(0, "bridge", "a", "c")],
+                         duration_s=8),
+        ["0 b CONNECT action=request peer=a",
+         "0 d CONNECT action=request peer=c",
+         "0 a CONNECT action=retry peer=c what=bridge",
+         "500000 a CONNECT action=retry peer=c what=bridge",
+         "726000 b CONNECT action=up peer=a",
+         "1000000 a CONNECT action=retry peer=c what=bridge",
+         "1023765 d CONNECT action=up peer=c",
+         "1500000 a CONNECT action=request peer=c",
+         "1700000 a CONNECT action=up peer=c"]),
+    # a join retries until the run has no time for another try
+    "join_never_ready": (
+        lambda: make_sim([("a", 0, 0, 12), ("b", 100, 0, 2)],
+                         [(0, "join", "b", "a")], duration_s=2),
+        ["0 b CONNECT action=retry peer=a what=join",
+         "500000 b CONNECT action=retry peer=a what=join",
+         "1000000 b CONNECT action=retry peer=a what=join",
+         "1500000 b CONNECT action=retry peer=a what=join",
+         "2000000 b CONNECT action=failed peer=a reason=not_ready"]),
+    # a client may only talk to its owner: refused with no request
+    "role_conflict": (
+        lambda: make_sim([("go", 0, 0, 14), ("c1", -75, 0, 2),
+                          ("c2", 75, 0, 3)],
+                         [(0, "connect", "c1", "go"),
+                          (3, "connect", "c2", "go"),
+                          (4, "connect", "c1", "c2")], duration_s=5),
+        ["0 c1 CONNECT action=request peer=go",
+         "1211377 c1 CONNECT action=up peer=go",
+         "3000000 c2 CONNECT action=request peer=go",
+         "3200000 c2 CONNECT action=up peer=go",
+         "4000000 c1 CONNECT action=failed peer=c2 "
+         "reason=RoleConflictError"]),
+    "out_of_range": (
+        lambda: make_sim([("a", 0, 0, 9), ("z", 5000, 0, 1)],
+                         [(0, "connect", "a", "z")], duration_s=1),
+        ["0 a CONNECT action=failed peer=z reason=OutOfRangeError"]),
+    # the bridge is requested, and fails once WPS is done
+    "bridging_off": (
+        lambda: make_sim(BRIDGE_NODES,
+                         GROUP_CONNECTS + [(4, "bridge", "a", "c")],
+                         duration_s=8,
+                         link=LinkConfig(bridging=BridgingPolicy.NONE)),
+        ["0 b CONNECT action=request peer=a",
+         "0 d CONNECT action=request peer=c",
+         "726000 b CONNECT action=up peer=a",
+         "1023765 d CONNECT action=up peer=c",
+         "4000000 a CONNECT action=request peer=c",
+         "4200000 a CONNECT action=failed peer=c "
+         "reason=BridgingDisabledError"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONNECT_CASES))
+def test_each_way_a_connect_ends_is_traced(case):
+    make, lines = CONNECT_CASES[case]
+    sim = make()
+    sim.run()
+    assert connect_lines(sim) == lines
+    assert connect_ends(sim.trace)[2] == []  # every request ended
+
+
+def test_a_connect_whose_client_is_joining_elsewhere_still_ends():
+    # c2's join of go is in WPS when c2 starts discovering x: both
+    # requests end, each with one record
+    sim = make_sim([("go", 0, 0, 14), ("c1", -75, 0, 2), ("c2", 75, 0, 3),
+                    ("x", 75, 80, 5)],
+                   script=[(0, "connect", "c1", "go"),
+                           (3, "connect", "c2", "go"),
+                           (3.1, "connect", "c2", "x")], duration_s=20)
+    sim.run()
+    assert connect_ends(sim.trace)[1:] == (0, [])
+    sim.linklayer.check_consistency()
 
 
 # ----------------------------------------------------------------------
