@@ -14,7 +14,10 @@ The layer reports upward to one object, `LinkEvents` (`LinkLayer.upper`):
 frame arrivals, frames lost at arrival, and links that come up or go down.
 The transfer layer is that object in a simulation; tests substitute a
 recorder.  Discovery and negotiation report through the continuations
-passed to each call instead, because each call belongs to one connection.
+passed to each call instead, because each call belongs to one connection:
+a discovery session through `on_found` and `on_timeout`, a negotiation
+through one `done(reason)`, called once with `None` when the group forms
+and otherwise with the reason it failed.
 
 The checks are ordered so that a legal frame pays each once.  A unicast
 from the owner costs one owner comparison and a member lookup of its
@@ -385,7 +388,7 @@ class LinkLayer:
     # GO negotiation (three-way handshake: Request-Response-Confirmation)
 
     def negotiate_go(self, initiator: NodeId, responder: NodeId,
-                     on_complete=None, on_failed=None) -> None:
+                     done=None) -> None:
         if responder not in self._discovered[initiator] or \
                 initiator not in self._discovered[responder]:
             raise InvalidStateError(
@@ -405,22 +408,20 @@ class LinkLayer:
         tie = self.engine.node_rng(initiator).getrandbits(1)
         mac = self.topology.profile(initiator).per_hop_mac_latency_us
         self.engine.call_later(mac, self._nego_request, initiator, responder,
-                               self._intents[initiator], tie, on_complete,
-                               on_failed)
+                               self._intents[initiator], tie, done)
 
     def _nego_failed(self, initiator: NodeId, responder: NodeId, reason: str,
-                     on_failed) -> None:
+                     done) -> None:
         for node in (initiator, responder):
             self._negotiating.discard(node)
             self.engine.log(node, EventClass.NEGOTIATION, action="failed",
                             reason=reason)
-        if on_failed is not None:
-            on_failed(initiator, responder, reason)
+        if done is not None:
+            done(reason)
 
-    def _nego_request(self, initiator, responder, intent, tie, on_complete,
-                      on_failed):
+    def _nego_request(self, initiator, responder, intent, tie, done):
         if not self.topology.in_range(initiator, responder):
-            self._nego_failed(initiator, responder, "out_of_range", on_failed)
+            self._nego_failed(initiator, responder, "out_of_range", done)
             return
         self.engine.log(responder, EventClass.NEGOTIATION, action="request",
                         peer=initiator, intent=intent, tie=tie)
@@ -429,16 +430,15 @@ class LinkLayer:
         if intent == 15 and resp_intent == 15:
             # both insist on the GO role: negotiation fails at the response
             self.engine.call_later(mac, self._nego_failed, initiator,
-                                   responder, "intent_conflict", on_failed)
+                                   responder, "intent_conflict", done)
             return
         self.engine.call_later(mac, self._nego_response, initiator, responder,
-                               intent, tie, resp_intent, on_complete,
-                               on_failed)
+                               intent, tie, resp_intent, done)
 
     def _nego_response(self, initiator, responder, intent, tie, resp_intent,
-                       on_complete, on_failed):
+                       done):
         if not self.topology.in_range(initiator, responder):
-            self._nego_failed(initiator, responder, "out_of_range", on_failed)
+            self._nego_failed(initiator, responder, "out_of_range", done)
             return
         self.engine.log(initiator, EventClass.NEGOTIATION, action="response",
                         peer=responder, intent=resp_intent)
@@ -450,23 +450,21 @@ class LinkLayer:
             owner = initiator if tie else responder
         mac = self.topology.profile(initiator).per_hop_mac_latency_us
         self.engine.call_later(mac, self._nego_confirm, initiator, responder,
-                               owner, on_complete, on_failed)
+                               owner, done)
 
-    def _nego_confirm(self, initiator, responder, owner, on_complete, on_failed):
+    def _nego_confirm(self, initiator, responder, owner, done):
         if not self.topology.in_range(initiator, responder):
-            self._nego_failed(initiator, responder, "out_of_range", on_failed)
+            self._nego_failed(initiator, responder, "out_of_range", done)
             return
         self.engine.log(responder, EventClass.NEGOTIATION, action="confirm",
                         peer=initiator, owner=owner)
         # WPS authentication modelled as a fixed delay, then addressing
         self.engine.call_later(self.config.wps_us, self._form_group,
-                               initiator, responder, owner, on_complete,
-                               on_failed)
+                               initiator, responder, owner, done)
 
-    def _form_group(self, initiator, responder, owner, on_complete,
-                    on_failed):
+    def _form_group(self, initiator, responder, owner, done):
         if not self.topology.in_range(initiator, responder):
-            self._nego_failed(initiator, responder, "out_of_range", on_failed)
+            self._nego_failed(initiator, responder, "out_of_range", done)
             return
         client = responder if owner == initiator else initiator
         self._negotiating.difference_update((initiator, responder))
@@ -482,8 +480,8 @@ class LinkLayer:
                         group=group.group_id, channel=channel)
         self._admit(group, client, kind="client")
         self._schedule_keepalive(group.group_id)
-        if on_complete is not None:
-            on_complete(group)
+        if done is not None:
+            done(None)
 
     # ------------------------------------------------------------------
     # group membership
@@ -508,13 +506,14 @@ class LinkLayer:
         if self.in_group(client):
             raise ForbiddenByRoleError(
                 f"{client} already belongs to a group and cannot join another")
-        if client in self._negotiating:
-            raise InvalidStateError(f"{client} is negotiating")
+        if client in self._negotiating or client in self._sessions:
+            # busy with another connect, which ends both of its sessions
+            raise InvalidStateError(
+                f"{client} cannot join from {self.state(client).value}")
         if group.group_id not in self.groups:
             raise NotInGroupError(f"group {group.group_id} no longer exists")
         if not self.topology.in_range(client, group.owner):
             raise OutOfRangeError(f"{client} out of range of owner {group.owner}")
-        self.abort_discovery(client)
         return self._admit(group, client, kind="client")
 
     def bridge_attach(self, go_node: NodeId, foreign_group: Group) -> int:

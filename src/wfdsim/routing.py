@@ -188,8 +188,6 @@ class RoutingTable:
     dirty set.  `heard` keeps, per sender, what the table last folded of
     that sender's full dumps (see `merge_full_dump`)."""
 
-    MAX_CANDIDATES = 2
-
     def __init__(self, owner: NodeId):
         self.owner = owner
         self.entries: dict[NodeId, list[RoutingEntry]] = {}
@@ -336,21 +334,15 @@ def _consider(table: RoutingTable, cand: RoutingEntry) -> bool:
     if cand.next_hop == primary.next_hop:
         table.put(dest, [cand, *slots[1:]])
         return _route_fields(cand) != _route_fields(primary)
-    # alternate candidacy: equal seq, equal hops, different neighbor
+    # alternate candidacy: equal seq, equal hops, different neighbor; the
+    # one alternate slot takes it when empty, held via the same neighbor,
+    # or worse by (latency, next hop)
     if cand.hop_count != primary.hop_count:
         return False
-    for i, alt in enumerate(slots[1:], start=1):
-        if alt.next_hop == cand.next_hop:
-            table.put(dest, [*slots[:i], cand, *slots[i + 1:]])
-            return False
-    if len(slots) < RoutingTable.MAX_CANDIDATES:
-        table.put(dest, [*slots, cand])
-    else:
-        worst = max(range(1, len(slots)),
-                    key=lambda i: (slots[i].latency_us, slots[i].next_hop))
-        if (cand.latency_us, cand.next_hop) < (slots[worst].latency_us,
-                                               slots[worst].next_hop):
-            table.put(dest, [*slots[:worst], cand, *slots[worst + 1:]])
+    if len(slots) == 1 or slots[1].next_hop == cand.next_hop or \
+            (cand.latency_us, cand.next_hop) < (slots[1].latency_us,
+                                               slots[1].next_hop):
+        table.put(dest, [primary, cand])
     return False
 
 

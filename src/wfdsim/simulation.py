@@ -3,8 +3,9 @@
 One Simulation owns one Engine and everything scheduled against it; nothing
 is global, so independent simulations can run side by side.  Script
 directives whose preconditions are not yet met (a bridge before both groups
-exist, a join before the owner is up) retry every 500 ms until they apply
-or the run ends.
+exist, a join before the owner is up, a connect while an end is busy)
+retry every 500 ms until they apply or the run ends.  The transfer layer's
+`end_connect` writes the record of a directive that gives up or is refused.
 """
 
 from __future__ import annotations
@@ -12,17 +13,12 @@ from __future__ import annotations
 from .engine import MS, Engine, EventClass, NodeId
 from .linklayer import (DeviceState, LinkError, LinkLayer, InvalidStateError)
 from .routing import RoutingAgent
-from .transfer import TransferError
 from .scenario import Scenario, ScriptDirective, load_scenario
 from .summary import Summary, build_summary
 from .topology import Topology
 from .transfer import TransferLayer
 
 DIRECTIVE_RETRY_US = 500 * MS
-
-
-class _NotReady(Exception):
-    pass
 
 
 class Simulation:
@@ -67,32 +63,24 @@ class Simulation:
         self.agents[node].advert_tick()
 
     def _run_directive(self, directive: ScriptDirective) -> None:
-        ll = self.linklayer
+        ll, node, peer = self.linklayer, directive.initiator, directive.peer
+        owners = {"join": (peer,), "bridge": (node, peer)}.get(
+            directive.action, ())
         try:
-            if directive.action == "join":
-                if ll.state(directive.peer) is not DeviceState.GROUP_OWNER:
-                    raise _NotReady
-            elif directive.action == "bridge":
-                if ll.state(directive.initiator) is not DeviceState.GROUP_OWNER \
-                        or ll.state(directive.peer) is not DeviceState.GROUP_OWNER:
-                    raise _NotReady
-            self.transfer.connect(directive.initiator, directive.peer)
-        except (_NotReady, InvalidStateError):
+            if any(ll.state(n) is not DeviceState.GROUP_OWNER for n in owners):
+                raise InvalidStateError(f"{directive.action} waits for owners")
+            self.transfer.connect(node, peer)
+        except InvalidStateError:
             if self.engine.now() + DIRECTIVE_RETRY_US \
                     <= self.scenario.sim.duration_us:
-                self.engine.log(directive.initiator, EventClass.CONNECT,
-                                action="retry", peer=directive.peer,
-                                what=directive.action)
+                self.engine.log(node, EventClass.CONNECT, action="retry",
+                                peer=peer, what=directive.action)
                 self.engine.call_later(DIRECTIVE_RETRY_US,
                                        self._run_directive, directive)
             else:
-                self.engine.log(directive.initiator, EventClass.CONNECT,
-                                action="failed", peer=directive.peer,
-                                reason="not_ready")
-        except (LinkError, TransferError) as exc:
-            self.engine.log(directive.initiator, EventClass.CONNECT,
-                            action="failed", peer=directive.peer,
-                            reason=type(exc).__name__)
+                self.transfer.end_connect(node, peer, "not_ready")
+        except LinkError as exc:
+            self.transfer.end_connect(node, peer, type(exc).__name__)
 
     # ------------------------------------------------------------------
     # running

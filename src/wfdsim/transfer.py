@@ -9,7 +9,10 @@ upper layer (`LinkEvents`): it sets itself as `LinkLayer.upper` and hands
 arrivals, losses and link changes on to the routing agents.
 
 A connect's outcome is its `CONNECT` records (`request`, then `up` or
-`failed`); the transfer layer keeps no connection state of its own.
+`failed`); the transfer layer keeps no connection state of its own.  One
+method, `end_connect`, writes every connect's last record, whichever way
+it ends: at once, after WPS, after negotiation, or when a script directive
+gives up.
 
 `app_send` puts the flow's report into `reports` at once, reading
 `IN_FLIGHT`, as the summary does for a flow with no record that ends it.
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 from .engine import Engine, EventClass, NodeId
 from .linklayer import (BROADCAST, DeviceState, Frame, InvalidStateError,
@@ -34,12 +38,8 @@ from .linklayer import (BROADCAST, DeviceState, Frame, InvalidStateError,
 from .routing import (CONTROL_FRAME_BITS, Packet, RoutingAgent, TrafficClass)
 
 
-class TransferError(Exception):
-    pass
-
-
-class RoleConflictError(TransferError):
-    pass
+class RoleConflictError(LinkError):
+    """A group client may connect only to its own owner."""
 
 
 class DeliveryOutcome(Enum):
@@ -96,8 +96,7 @@ class TransferLayer(LinkEvents):
             if group is None:
                 continue
             if group.owner == other:
-                self.engine.log(local, EventClass.CONNECT, action="up",
-                                peer=peer)
+                self.end_connect(local, peer)
                 return
             raise RoleConflictError(
                 f"{node} is a group client and may only talk to {group.owner}")
@@ -127,48 +126,45 @@ class TransferLayer(LinkEvents):
         try:
             attach(node, group)
         except LinkError as exc:  # policy, role or range changed meanwhile
-            self.engine.log(local, EventClass.CONNECT, action="failed",
-                            peer=peer, reason=type(exc).__name__)
-            return
-        self.engine.log(local, EventClass.CONNECT, action="up", peer=peer)
+            self.end_connect(local, peer, type(exc).__name__)
+        else:
+            self.end_connect(local, peer)
 
     def _discover_then_negotiate(self, local: NodeId, peer: NodeId) -> None:
         """Discovery is recorded on both ends, and negotiating (or aborting
         after it fails) ends both sessions, so `on_found` runs at most once
-        per connect and only once each side has found the other."""
-        ll, log = self.linklayer, self.engine.log
-        failed = False
-
-        def fail(reason):
-            # both sessions time out at the same instant: log that once
-            nonlocal failed
-            if not failed:
-                failed = True
-                log(local, EventClass.CONNECT, action="failed", peer=peer,
-                    reason=reason)
+        per connect and only once each side has found the other.  The two
+        sessions start at one instant with one timeout, and every other way
+        one ends also ends the other, so only the initiator's reports its
+        timeout: it fires first."""
+        ll = self.linklayer
+        done = partial(self.end_connect, local, peer)
 
         def on_found(node, discovered):
             try:
-                ll.negotiate_go(local, peer,
-                                on_complete=lambda group: log(
-                                    local, EventClass.CONNECT, action="up",
-                                    peer=peer),
-                                on_failed=lambda i, r, reason: fail(reason))
+                ll.negotiate_go(local, peer, done)
             except LinkError as exc:
                 # the pair may be left from an earlier discovery and the
                 # peer gone since; end both sessions so neither node is
                 # left in FIND_*
                 ll.abort_discovery(local)
                 ll.abort_discovery(peer)
-                fail(type(exc).__name__)
-
-        def on_timeout(node):
-            fail("discovery_timeout")
+                done(type(exc).__name__)
 
         ll.start_discovery(local, target=peer, on_found=on_found,
-                           on_timeout=on_timeout)
-        ll.start_discovery(peer, target=local, on_found=on_found,
-                           on_timeout=on_timeout)
+                           on_timeout=lambda node: done("discovery_timeout"))
+        ll.start_discovery(peer, target=local, on_found=on_found)
+
+    def end_connect(self, local: NodeId, peer: NodeId,
+                    reason: str | None = None) -> None:
+        """Write a connect's last record: `up`, or `failed` with the
+        reason.  Every connect ends here, and so does a directive that
+        gives up."""
+        if reason is None:
+            self.engine.log(local, EventClass.CONNECT, action="up", peer=peer)
+        else:
+            self.engine.log(local, EventClass.CONNECT, action="failed",
+                            peer=peer, reason=reason)
 
     # ------------------------------------------------------------------
     # link events (LinkEvents)

@@ -127,12 +127,12 @@ def make_link_world(positions, intents=None, seed=1, config=None,
 
 def form_pair(engine, ll, a, b, until_us=2 * SECOND):
     """Drive a and b through discovery and negotiation; returns the group."""
-    result = {}
+    done = []
     ll.record_discovery(a, b)
-    ll.negotiate_go(a, b, on_complete=lambda g: result.setdefault("group", g))
+    ll.negotiate_go(a, b, done.append)
     engine.run_until(until_us)
-    assert "group" in result, "negotiation did not complete"
-    return result["group"]
+    assert done == [None], "negotiation did not complete"
+    return ll.owned_group(a) or ll.owned_group(b)
 
 
 def make_sim(nodes, script=(), traffic=(), mobility=(), seed=1,

@@ -131,19 +131,17 @@ def test_criterion_3_negotiation_rules():
         engine, _, ll = make_link_world(
             {"a": (0, 0), "b": (100, 0)},
             intents={"a": intent_a, "b": intent_b}, seed=trial)
-        result = {}
+        done = []
         ll.record_discovery("a", "b")
-        ll.negotiate_go("a", "b",
-                        on_complete=lambda g: result.setdefault("group", g),
-                        on_failed=lambda i, r, why: result.setdefault("why",
-                                                                      why))
+        ll.negotiate_go("a", "b", done.append)
         engine.run_until(2 * SECOND)
         if intent_a == 15 and intent_b == 15:
-            assert result.get("why") == "intent_conflict"
+            assert done == ["intent_conflict"]
             assert ll.state("a") is DeviceState.IDLE
             assert ll.state("b") is DeviceState.IDLE
             continue
-        group = result["group"]
+        assert done == [None]
+        group = ll.owned_group("a") or ll.owned_group("b")
         if intent_a != intent_b:
             expected = "a" if intent_a > intent_b else "b"
             assert group.owner == expected, \

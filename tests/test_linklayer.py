@@ -172,17 +172,17 @@ def test_out_of_range_pair_never_discovers():
 def negotiate(intents, seed=1, initiator="a", responder="b"):
     engine, _, ll = make_link_world({"a": (0, 0), "b": (100, 0)},
                                     intents=intents, seed=seed)
-    outcome = {}
+    done = []
     ll.record_discovery("a", "b")
-    ll.negotiate_go(initiator, responder,
-                    on_complete=lambda g: outcome.setdefault("group", g),
-                    on_failed=lambda i, r, why: outcome.setdefault("why", why))
+    ll.negotiate_go(initiator, responder, done.append)
     engine.run_until(2 * SECOND)
-    return engine, ll, outcome
+    group = ll.owned_group("a") or ll.owned_group("b")
+    return engine, ll, {"done": done, "group": group}
 
 
 def test_higher_intent_becomes_owner():
     _, ll, outcome = negotiate({"a": 7, "b": 3})
+    assert outcome["done"] == [None]
     assert outcome["group"].owner == "a"
     assert ll.state("a") is DeviceState.GROUP_OWNER
     assert ll.state("b") is DeviceState.GROUP_CLIENT
@@ -199,8 +199,7 @@ def test_equal_intents_resolved_by_tie_breaker_bit():
 
 def test_both_intents_15_fails_and_returns_to_idle():
     _, ll, outcome = negotiate({"a": 15, "b": 15})
-    assert "group" not in outcome
-    assert outcome["why"] == "intent_conflict"
+    assert outcome == {"done": ["intent_conflict"], "group": None}
     assert ll.state("a") is DeviceState.IDLE
     assert ll.state("b") is DeviceState.IDLE
 
@@ -222,17 +221,16 @@ def test_negotiation_message_timing():
     assert group_formed.time_us - times["confirm"] == 200 * MS
 
 
-def test_pair_drifting_apart_during_wps_fails_through_on_failed():
+def test_pair_drifting_apart_during_wps_fails_through_done():
     engine, topo, ll = make_link_world({"a": (0, 0), "b": (100, 0)},
                                        intents={"a": 7, "b": 3})
-    failed, formed = [], []
+    done = []
     ll.record_discovery("a", "b")
-    ll.negotiate_go("a", "b", on_complete=formed.append,
-                    on_failed=lambda i, r, why: failed.append((i, r, why)))
+    ll.negotiate_go("a", "b", done.append)
     engine.run_until(100 * MS)  # confirmed at 6 ms, WPS ends at 206 ms
     topo.apply_move("b", Position(1000, 0))
     engine.run_until(2 * SECOND)
-    assert (failed, formed) == ([("a", "b", "out_of_range")], [])
+    assert done == ["out_of_range"]
     assert ll.state("a") is DeviceState.IDLE
     assert ll.state("b") is DeviceState.IDLE
     assert not ll.groups
@@ -301,6 +299,15 @@ def test_client_cannot_join_a_second_group():
     engine2, _, ll2 = make_link_world({"x": (0, 0), "y": (100, 0)})
     with pytest.raises(ForbiddenByRoleError):
         ll.join_group("c1", group)  # c1 is already a client of this group
+
+
+def test_a_node_in_discovery_cannot_join():
+    engine, topo, ll, group = trio()
+    ll.start_discovery("c2")
+    with pytest.raises(InvalidStateError, match="cannot join from SCAN"):
+        ll.join_group("c2", group)
+    assert ll.state("c2") is DeviceState.SCAN
+    assert group.clients == {"c1"}
 
 
 def test_join_out_of_range_owner_rejected():

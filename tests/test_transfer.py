@@ -246,7 +246,9 @@ def test_each_way_a_connect_ends_is_traced(case):
 
 def test_a_connect_whose_client_is_joining_elsewhere_still_ends():
     # c2's join of go is in WPS when c2 starts discovering x: both
-    # requests end, each with one record
+    # requests end, each with one record.  The join is refused, because a
+    # node in discovery cannot join; had it aborted c2's session, x's
+    # session (which reports no timeout) would have left c2 -> x open
     sim = make_sim([("go", 0, 0, 14), ("c1", -75, 0, 2), ("c2", 75, 0, 3),
                     ("x", 75, 80, 5)],
                    script=[(0, "connect", "c1", "go"),
@@ -254,6 +256,11 @@ def test_a_connect_whose_client_is_joining_elsewhere_still_ends():
                            (3.1, "connect", "c2", "x")], duration_s=20)
     sim.run()
     assert connect_ends(sim.trace)[1:] == (0, [])
+    assert connect_lines(sim)[2:] == [
+        "3000000 c2 CONNECT action=request peer=go",
+        "3100000 c2 CONNECT action=request peer=x",
+        "3200000 c2 CONNECT action=failed peer=go reason=InvalidStateError",
+        "4189861 c2 CONNECT action=up peer=x"]
     sim.linklayer.check_consistency()
 
 
