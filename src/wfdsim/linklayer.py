@@ -507,7 +507,8 @@ class LinkLayer:
             raise ForbiddenByRoleError(
                 f"{client} already belongs to a group and cannot join another")
         if client in self._negotiating or client in self._sessions:
-            # busy with another connect, which ends both of its sessions
+            # a connect ends its two discovery sessions together, so a
+            # join may not end just one of them
             raise InvalidStateError(
                 f"{client} cannot join from {self.state(client).value}")
         if group.group_id not in self.groups:
