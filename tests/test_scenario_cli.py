@@ -235,6 +235,90 @@ def test_cli_replay_rejects_a_malformed_trace_with_one_error_line(
         1, "", f"error: {bad}: {where}\n")
 
 
+# (path of an entry, the entry with several faults, then each fault in the
+# order it is reported: (key, the value that mends it or None to delete
+# the key, the error it raises while it is the first fault left))
+FAULTY_ENTRIES = {
+    "sim": (("sim",), {
+        "zz": 1, "yy": 2, "seed": 1.5, "duration_ms": 0, "wps_ms": -1,
+        "find_min_ms": 300, "find_max_ms": 200}, [
+        ("zz", None, "unknown field(s) in sim: yy, zz"),
+        ("yy", None, "unknown field(s) in sim: yy"),
+        ("seed", 1, "sim: seed must be an integer"),
+        ("wps_ms", 200, "sim: wps_ms must be non-negative"),
+        ("find_min_ms", 100, "sim: find_min_ms must not exceed find_max_ms"),
+        ("duration_ms", 5000, "sim: duration_ms must be positive"),
+    ]),
+    "node": (("nodes", 1), {
+        "id": "b b", "pos": [INF, 0], "range_m": 0, "data_rate_bps": 0,
+        "mac_latency_ms": -1, "go_intent": 16, "energy_cost": -1,
+        "channel": 2, "zz": 1}, [
+        ("zz", None, "unknown field(s) in nodes[1]: zz"),
+        ("id", "a", r"nodes[1]: id must match ^[A-Za-z0-9_\-]+$"),
+        ("id", "b", "duplicate node id 'a'"),
+        ("pos", [100, 0], "nodes[1]: pos must be finite"),
+        ("range_m", 150, "nodes[1]: range_m must be positive"),
+        ("data_rate_bps", 10,
+         "nodes[1]: data_rate_bps must be a positive integer"),
+        ("mac_latency_ms", 1, "nodes[1]: mac_latency_ms must be non-negative"),
+        ("go_intent", 1, "nodes[1]: go_intent must be an integer in 0..15"),
+        ("energy_cost", 1, "nodes[1]: energy_cost must be non-negative"),
+        ("channel", 6, "nodes[1]: channel must be one of (1, 6, 11)"),
+    ]),
+    "script": (("script", 0), {
+        "at_ms": 10 ** 9, "action": "jump", "from": "ghost", "to": "ghost",
+        "zz": 1}, [
+        ("zz", None, "unknown field(s) in script[0]: zz"),
+        ("action", "connect",
+         "script[0]: action must be one of ('connect', 'join', 'bridge')"),
+        ("from", "a", "script[0]: from references unknown node 'ghost'"),
+        ("to", "a", "script[0]: to references unknown node 'ghost'"),
+        ("to", "b", "script[0]: from and to must differ"),
+        ("at_ms", 0,
+         "script[0]: at_ms must lie within the simulation duration"),
+    ]),
+    "mobility": (("mobility",), [{
+        "at_ms": -1, "node": "ghost", "pos": "x", "zz": 1}], [
+        ("zz", None, "unknown field(s) in mobility[0]: zz"),
+        ("node", "a", "mobility[0]: node references unknown node 'ghost'"),
+        ("at_ms", 10, "mobility[0]: at_ms must be non-negative"),
+        ("pos", [1, 0], "mobility[0]: pos must be [x, y] in meters"),
+    ]),
+    "traffic": (("traffic",), [{
+        "at_ms": "soon", "src": "ghost", "dst": "nobody",
+        "payload_bits": -1, "class": "FAST", "zz": 1}], [
+        ("zz", None, "unknown field(s) in traffic[0]: zz"),
+        ("src", "a", "traffic[0]: src references unknown node 'ghost'"),
+        ("dst", "b", "traffic[0]: dst references unknown node 'nobody'"),
+        ("payload_bits", 8, "traffic[0]: payload_bits must be >= 0"),
+        ("class", "BULK",
+         "traffic[0]: class must be one of ['REAL_TIME', 'BULK']"),
+        ("at_ms", 10,
+         "traffic[0]: at_ms must be a number of milliseconds"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("section", FAULTY_ENTRIES)
+def test_an_entry_with_several_faults_reports_them_in_order(section):
+    path, entry, faults = FAULTY_ENTRIES[section]
+    doc = _set(variant(), path, copy.deepcopy(entry))
+    target = doc
+    for step in path:
+        target = target[step]
+    if isinstance(target, list):
+        target = target[0]
+    for key, mend, message in faults:
+        with pytest.raises(ScenarioError) as raised:
+            load_scenario(doc)
+        assert str(raised.value) == message
+        if mend is None:
+            del target[key]
+        else:
+            target[key] = mend
+    load_scenario(doc)
+
+
 def test_bridging_policy_parsed():
     doc = variant()
     doc["sim"]["bridging"] = "NONE"
