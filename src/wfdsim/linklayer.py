@@ -36,10 +36,10 @@ node's discovery session, so it cannot drift from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .engine import MS, SECOND, Engine, EventClass, NodeId, uniform_duration
+from .record import Record
 from .topology import Topology
 
 BROADCAST: NodeId = "*"
@@ -88,29 +88,41 @@ class BridgingPolicy(Enum):
     NONE = "NONE"
 
 
-@dataclass
-class LinkConfig:
-    scan_us: int = 500 * MS
-    find_min_us: int = 100 * MS
-    find_max_us: int = 300 * MS
-    discovery_timeout_us: int = 10 * SECOND
-    overlap_min_us: int = 20 * MS
-    wps_us: int = 200 * MS
-    keepalive_us: int = 1 * SECOND
-    keepalive_miss_limit: int = 3
-    bridging: BridgingPolicy = BridgingPolicy.GO_AS_LEGACY_CLIENT
+class LinkConfig(Record):
+    __slots__ = ("scan_us", "find_min_us", "find_max_us",
+                 "discovery_timeout_us", "overlap_min_us", "wps_us",
+                 "keepalive_us", "keepalive_miss_limit", "bridging")
+
+    def __init__(self, scan_us: int = 500 * MS, find_min_us: int = 100 * MS,
+                 find_max_us: int = 300 * MS,
+                 discovery_timeout_us: int = 10 * SECOND,
+                 overlap_min_us: int = 20 * MS, wps_us: int = 200 * MS,
+                 keepalive_us: int = 1 * SECOND, keepalive_miss_limit: int = 3,
+                 bridging: BridgingPolicy = BridgingPolicy.GO_AS_LEGACY_CLIENT):
+        self.scan_us = scan_us
+        self.find_min_us = find_min_us
+        self.find_max_us = find_max_us
+        self.discovery_timeout_us = discovery_timeout_us
+        self.overlap_min_us = overlap_min_us
+        self.wps_us = wps_us
+        self.keepalive_us = keepalive_us
+        self.keepalive_miss_limit = keepalive_miss_limit
+        self.bridging = bridging
 
 
-@dataclass
 class Group:
-    group_id: int
-    owner: NodeId
-    channel: int
-    clients: set[NodeId] = field(default_factory=set)
-    legacy: set[NodeId] = field(default_factory=set)  # bridged foreign GOs
-    addresses: dict[NodeId, int] = field(default_factory=dict)
-    _next_addr: int = 2
-    misses: dict[NodeId, int] = field(default_factory=dict)
+    __slots__ = ("group_id", "owner", "channel", "clients", "legacy",
+                 "addresses", "_next_addr", "misses")
+
+    def __init__(self, group_id: int, owner: NodeId, channel: int):
+        self.group_id = group_id
+        self.owner = owner
+        self.channel = channel
+        self.clients: set[NodeId] = set()
+        self.legacy: set[NodeId] = set()  # bridged foreign GOs
+        self.addresses: dict[NodeId, int] = {}
+        self._next_addr = 2
+        self.misses: dict[NodeId, int] = {}
 
     def members(self) -> set[NodeId]:
         return self.clients | self.legacy
@@ -122,18 +134,19 @@ class Group:
         return addr
 
 
-@dataclass
 class Frame:
-    src: NodeId
-    dst: NodeId  # BROADCAST or a node id
-    group_id: int
-    size_bits: int
-    payload: object
-    sent_at: int = 0
+    __slots__ = ("src", "dst", "group_id", "size_bits", "payload", "sent_at")
 
-    def __post_init__(self):
-        if self.size_bits < 0:
+    def __init__(self, src: NodeId, dst: NodeId, group_id: int,
+                 size_bits: int, payload: object, sent_at: int = 0):
+        if size_bits < 0:
             raise ValueError("size_bits must be non-negative")
+        self.src = src
+        self.dst = dst  # BROADCAST or a node id
+        self.group_id = group_id
+        self.size_bits = size_bits
+        self.payload = payload
+        self.sent_at = sent_at
 
 
 class LinkEvents:

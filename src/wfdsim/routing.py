@@ -46,12 +46,12 @@ with a whole fold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from typing import NamedTuple
 
 from .engine import Engine, EventClass, NodeId
+from .record import Record
 
 INFINITE_HOPS = 1 << 16
 CONTROL_FRAME_BITS = 1024  # wire size of discovery/advert/error frames
@@ -70,24 +70,25 @@ class TrafficClass(Enum):
     BULK = "BULK"            # minimize path energy
 
 
-@dataclass
 class Packet:
-    src: NodeId
-    dst: NodeId
-    app_seq: int
-    ttl: int
-    traffic_class: TrafficClass
-    payload_bits: int
-    path: list[NodeId] = field(default_factory=list)  # nodes that forwarded it
+    __slots__ = ("src", "dst", "app_seq", "ttl", "traffic_class",
+                 "payload_bits", "path")
 
-    def __post_init__(self):
-        if self.ttl < 0:
+    def __init__(self, src: NodeId, dst: NodeId, app_seq: int, ttl: int,
+                 traffic_class: TrafficClass, payload_bits: int):
+        if ttl < 0:
             raise ValueError("ttl must be non-negative")
-        if self.payload_bits < 0:
+        if payload_bits < 0:
             raise ValueError("payload_bits must be non-negative")
+        self.src = src
+        self.dst = dst
+        self.app_seq = app_seq
+        self.ttl = ttl
+        self.traffic_class = traffic_class
+        self.payload_bits = payload_bits
+        self.path: list[NodeId] = []  # nodes that forwarded it
 
 
-@dataclass(slots=True)
 class RoutingEntry:
     """One candidate route.  `last_updated` is the virtual time the route
     was adopted or changed; a refresh identical to it is not merged, so it
@@ -98,17 +99,21 @@ class RoutingEntry:
     first advert that carries an entry keeps its advert tuple and wire text
     on it (`advert`, `wire`), and every later advert reuses them."""
 
-    destination: NodeId
-    next_hop: NodeId
-    hop_count: int
-    seq_no: int
-    latency_us: int
-    energy_cost: float
-    last_updated: int
-    advert: AdvertEntry | None = field(default=None, init=False, repr=False,
-                                       compare=False)
-    wire: str | None = field(default=None, init=False, repr=False,
-                             compare=False)
+    __slots__ = ("destination", "next_hop", "hop_count", "seq_no",
+                 "latency_us", "energy_cost", "last_updated", "advert", "wire")
+
+    def __init__(self, destination: NodeId, next_hop: NodeId, hop_count: int,
+                 seq_no: int, latency_us: int, energy_cost: float,
+                 last_updated: int):
+        self.destination = destination
+        self.next_hop = next_hop
+        self.hop_count = hop_count
+        self.seq_no = seq_no
+        self.latency_us = latency_us
+        self.energy_cost = energy_cost
+        self.last_updated = last_updated
+        self.advert: AdvertEntry | None = None
+        self.wire: str | None = None
 
     @property
     def valid(self) -> bool:
@@ -133,8 +138,7 @@ def _wire(entry: AdvertEntry) -> str:
     return "%s:%s:%s:%s:%g" % entry
 
 
-@dataclass
-class TableAdvert:
+class TableAdvert(NamedTuple):
     """A table advert.  A full dump also carries its number among the
     sender's full dumps and, in `changed`, the destinations the sender's
     table wrote since its previous full dump (`None` when there was none):
@@ -148,14 +152,12 @@ class TableAdvert:
     changed: set[NodeId] | None = None
 
 
-@dataclass
-class DiscoveryRequest:
+class DiscoveryRequest(NamedTuple):
     sender: NodeId
     sent_at: int
 
 
-@dataclass
-class DiscoveryResponse:
+class DiscoveryResponse(NamedTuple):
     sender: NodeId
     requester: NodeId
     seq_no: int
@@ -163,16 +165,18 @@ class DiscoveryResponse:
     echo_us: int
 
 
-@dataclass
 class RouteErrorNotice:
-    orig_src: NodeId
-    unreachable: NodeId
-    app_seq: int
-    hops_left: int = 16
+    __slots__ = ("orig_src", "unreachable", "app_seq", "hops_left")
+
+    def __init__(self, orig_src: NodeId, unreachable: NodeId, app_seq: int,
+                 hops_left: int = 16):
+        self.orig_src = orig_src
+        self.unreachable = unreachable
+        self.app_seq = app_seq
+        self.hops_left = hops_left
 
 
-@dataclass
-class LinkMetrics:
+class LinkMetrics(NamedTuple):
     latency_us: int
     energy_cost: float  # relay cost of the peer at the far end
 
@@ -369,11 +373,15 @@ def _class_key(entry: RoutingEntry, traffic_class: TrafficClass) -> tuple:
     return (entry.latency_us, entry.hop_count, entry.next_hop)
 
 
-@dataclass
-class RoutingConfig:
-    advert_period_us: int = 1_000_000  # Simulation schedules advert_tick at it
-    full_dump_every: int = 10
-    default_ttl: int = 16
+class RoutingConfig(Record):
+    __slots__ = ("advert_period_us", "full_dump_every", "default_ttl")
+
+    def __init__(self, advert_period_us: int = 1_000_000,
+                 full_dump_every: int = 10, default_ttl: int = 16):
+        # Simulation schedules advert_tick every advert_period_us
+        self.advert_period_us = advert_period_us
+        self.full_dump_every = full_dump_every
+        self.default_ttl = default_ttl
 
 
 class RoutingAgent:

@@ -13,7 +13,7 @@ validated without importing the YAML parser, so a run built from a
 mapping never pays for that import.
 
 Each setting lives in the config object of the layer that reads it, and
-that dataclass holds its default: ``LinkConfig`` (discovery, negotiation,
+that config object holds its default: ``LinkConfig`` (discovery, negotiation,
 keepalive and bridging), ``RoutingConfig`` (advert period, full dumps, TTL)
 and ``RadioProfile`` (range, data rate, MAC latency).  The scenario holds
 those objects; ``_SIM_FIELDS`` and ``_NODE_FIELDS`` map each file key to
@@ -29,11 +29,11 @@ import math
 import os
 import re
 from collections import defaultdict
-from dataclasses import dataclass, field
 from importlib import resources
 
 from .engine import MS, SECOND
 from .linklayer import SOCIAL_CHANNELS, BridgingPolicy, LinkConfig
+from .record import Record
 from .routing import RoutingConfig, TrafficClass
 from .topology import Position, RadioProfile
 
@@ -50,59 +50,81 @@ _TRAFFIC_KEYS = {"at_ms", "src", "dst", "payload_bits", "class"}
 _ACTIONS = ("connect", "join", "bridge")
 
 
-@dataclass
-class SimSettings:
+class SimSettings(Record):
     """Run-wide settings: seed and duration, plus the link layer's and the
     routing layer's own config objects, which hold every timing default."""
-    seed: int = 1
-    duration_us: int = 30 * SECOND
-    link: LinkConfig = field(default_factory=LinkConfig)
-    routing: RoutingConfig = field(default_factory=RoutingConfig)
+
+    __slots__ = ("seed", "duration_us", "link", "routing")
+
+    def __init__(self, seed: int = 1, duration_us: int = 30 * SECOND,
+                 link: LinkConfig | None = None,
+                 routing: RoutingConfig | None = None):
+        self.seed = seed
+        self.duration_us = duration_us
+        self.link = LinkConfig() if link is None else link
+        self.routing = RoutingConfig() if routing is None else routing
 
 
-@dataclass
-class NodeSpec:
+class NodeSpec(Record):
     """One node: where it starts, its radio, and its link and routing
     parameters.  Radio defaults live in ``RadioProfile``."""
-    id: str
-    pos: Position
-    radio: RadioProfile = field(default_factory=RadioProfile)
-    go_intent: int = 7
-    energy_cost: float = 1.0
-    channel: int | None = None
+
+    __slots__ = ("id", "pos", "radio", "go_intent", "energy_cost", "channel")
+
+    def __init__(self, id: str, pos: Position,
+                 radio: RadioProfile | None = None, go_intent: int = 7,
+                 energy_cost: float = 1.0, channel: int | None = None):
+        self.id = id
+        self.pos = pos
+        self.radio = RadioProfile() if radio is None else radio
+        self.go_intent = go_intent
+        self.energy_cost = energy_cost
+        self.channel = channel
 
 
-@dataclass
-class ScriptDirective:
-    at_us: int
-    action: str
-    initiator: str
-    peer: str
+class ScriptDirective(Record):
+    __slots__ = ("at_us", "action", "initiator", "peer")
+
+    def __init__(self, at_us: int, action: str, initiator: str, peer: str):
+        self.at_us = at_us
+        self.action = action
+        self.initiator = initiator
+        self.peer = peer
 
 
-@dataclass
-class MobilityStep:
-    at_us: int
-    node: str
-    pos: Position
+class MobilityStep(Record):
+    __slots__ = ("at_us", "node", "pos")
+
+    def __init__(self, at_us: int, node: str, pos: Position):
+        self.at_us = at_us
+        self.node = node
+        self.pos = pos
 
 
-@dataclass
-class TrafficSpec:
-    at_us: int
-    src: str
-    dst: str
-    payload_bits: int
-    traffic_class: TrafficClass
+class TrafficSpec(Record):
+    __slots__ = ("at_us", "src", "dst", "payload_bits", "traffic_class")
+
+    def __init__(self, at_us: int, src: str, dst: str, payload_bits: int,
+                 traffic_class: TrafficClass):
+        self.at_us = at_us
+        self.src = src
+        self.dst = dst
+        self.payload_bits = payload_bits
+        self.traffic_class = traffic_class
 
 
-@dataclass
-class Scenario:
-    sim: SimSettings
-    nodes: list[NodeSpec]
-    script: list[ScriptDirective] = field(default_factory=list)
-    mobility: list[MobilityStep] = field(default_factory=list)
-    traffic: list[TrafficSpec] = field(default_factory=list)
+class Scenario(Record):
+    __slots__ = ("sim", "nodes", "script", "mobility", "traffic")
+
+    def __init__(self, sim: SimSettings, nodes: list[NodeSpec],
+                 script: list[ScriptDirective] | None = None,
+                 mobility: list[MobilityStep] | None = None,
+                 traffic: list[TrafficSpec] | None = None):
+        self.sim = sim
+        self.nodes = nodes
+        self.script = [] if script is None else script
+        self.mobility = [] if mobility is None else mobility
+        self.traffic = [] if traffic is None else traffic
 
 
 def bundled_scenario_path(name: str):
@@ -140,15 +162,11 @@ def _read(source) -> str:
         raise ScenarioError(f"scenario file not found: {path}")
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ScenarioError(message)
-
-
 def _check_keys(mapping: dict, allowed, where: str) -> None:
-    unknown = set(mapping) - set(allowed)
-    names = ", ".join(sorted(map(str, unknown)))
-    _require(not unknown, f"unknown field(s) in {where}: {names}")
+    """Reject keys not in `allowed`, a set or a dict's keys."""
+    if not mapping.keys() <= allowed:
+        names = ", ".join(sorted(map(str, mapping.keys() - allowed)))
+        raise ScenarioError(f"unknown field(s) in {where}: {names}")
 
 
 def _number(value) -> bool:
@@ -163,17 +181,20 @@ def _rule(test, must: str, convert=None):
     """A parser for one file key: the value if test(value) holds, else a
     ScenarioError that names the entry and the key."""
     def parse(value, where: str, key: str):
-        _require(test(value), f"{where}: {key} must {must}")
+        if not test(value):
+            raise ScenarioError(f"{where}: {key} must {must}")
         return value if convert is None else convert(value)
     return parse
 
 
 def _ms(value, where: str, key: str) -> int:
     """A non-negative number of milliseconds, as integer microseconds."""
-    _require(_integer(value) or _number(value) and math.isfinite(value * MS),
-             f"{where}: {key} must be a number of milliseconds")
+    if not (_integer(value)
+            or _number(value) and math.isfinite(value * MS)):
+        raise ScenarioError(f"{where}: {key} must be a number of milliseconds")
     us = int(round(value * MS))
-    _require(us >= 0, f"{where}: {key} must be non-negative")
+    if us < 0:
+        raise ScenarioError(f"{where}: {key} must be non-negative")
     return us
 
 
@@ -181,7 +202,8 @@ def _period_ms(value, where: str, key: str) -> int:
     """A period of at least 1 µs: work that reschedules itself after zero
     time would never let the clock advance."""
     us = _ms(value, where, key)
-    _require(us > 0, f"{where}: {key} must be positive")
+    if us <= 0:
+        raise ScenarioError(f"{where}: {key} must be positive")
     return us
 
 
@@ -230,6 +252,8 @@ _NODE_FIELDS = {
                       and v in SOCIAL_CHANNELS,
                       f"be one of {SOCIAL_CHANNELS}")),
 }
+_NODE_KEYS = {"id", "pos", *_NODE_FIELDS}
+_SCENARIO_KEYS = {"sim", "nodes", "script", "mobility", "traffic"}
 
 
 def _parse_fields(raw: dict, table: dict, where: str) -> dict[str, dict]:
@@ -242,8 +266,7 @@ def _parse_fields(raw: dict, table: dict, where: str) -> dict[str, dict]:
 
 
 def _validate(raw: dict) -> Scenario:
-    _check_keys(raw, {"sim", "nodes", "script", "mobility", "traffic"},
-                "scenario")
+    _check_keys(raw, _SCENARIO_KEYS, "scenario")
     sim = _validate_sim(raw.get("sim") or {})
     nodes = _validate_nodes(raw.get("nodes"))
     ids = {n.id for n in nodes}
@@ -254,22 +277,24 @@ def _validate(raw: dict) -> Scenario:
 
 
 def _validate_sim(raw: dict) -> SimSettings:
-    _require(isinstance(raw, dict), "sim section must be a mapping")
-    _check_keys(raw, _SIM_FIELDS, "sim")
+    if not isinstance(raw, dict):
+        raise ScenarioError("sim section must be a mapping")
+    _check_keys(raw, _SIM_FIELDS.keys(), "sim")
     values = _parse_fields(raw, _SIM_FIELDS, "sim")
     settings = SimSettings(link=LinkConfig(**values["link"]),
                            routing=RoutingConfig(**values["routing"]),
                            **values["sim"])
-    _require(settings.link.find_min_us <= settings.link.find_max_us,
-             "sim: find_min_ms must not exceed find_max_ms")
-    _require(settings.duration_us > 0, "sim: duration_ms must be positive")
+    if settings.link.find_min_us > settings.link.find_max_us:
+        raise ScenarioError("sim: find_min_ms must not exceed find_max_ms")
+    if settings.duration_us <= 0:
+        raise ScenarioError("sim: duration_ms must be positive")
     return settings
 
 
 def _validate_pos(value, where: str) -> Position:
-    _require(isinstance(value, (list, tuple)) and len(value) == 2
-             and all(_number(c) for c in value),
-             f"{where}: pos must be [x, y] in meters")
+    if not (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(_number(c) for c in value)):
+        raise ScenarioError(f"{where}: pos must be [x, y] in meters")
     try:
         return Position(float(value[0]), float(value[1]))
     except (ValueError, OverflowError):
@@ -277,18 +302,20 @@ def _validate_pos(value, where: str) -> Position:
 
 
 def _validate_nodes(raw) -> list[NodeSpec]:
-    _require(isinstance(raw, list) and raw,
-             "scenario needs a non-empty nodes list")
+    if not (isinstance(raw, list) and raw):
+        raise ScenarioError("scenario needs a non-empty nodes list")
     nodes: list[NodeSpec] = []
     seen: set[str] = set()
     for i, entry in enumerate(raw):
         where = f"nodes[{i}]"
-        _require(isinstance(entry, dict), f"{where} must be a mapping")
-        _check_keys(entry, {"id", "pos", *_NODE_FIELDS}, where)
+        if not isinstance(entry, dict):
+            raise ScenarioError(f"{where} must be a mapping")
+        _check_keys(entry, _NODE_KEYS, where)
         node_id = entry.get("id")
-        _require(isinstance(node_id, str) and _ID_RE.match(node_id),
-                 f"{where}: id must match {_ID_RE.pattern}")
-        _require(node_id not in seen, f"duplicate node id {node_id!r}")
+        if not (isinstance(node_id, str) and _ID_RE.match(node_id)):
+            raise ScenarioError(f"{where}: id must match {_ID_RE.pattern}")
+        if node_id in seen:
+            raise ScenarioError(f"duplicate node id {node_id!r}")
         seen.add(node_id)
         pos = _validate_pos(entry.get("pos"), where)
         values = _parse_fields(entry, _NODE_FIELDS, where)
@@ -299,27 +326,32 @@ def _validate_nodes(raw) -> list[NodeSpec]:
 
 def _validate_at(entry: dict, sim: SimSettings, where: str) -> int:
     at_us = _ms(entry["at_ms"], where, "at_ms") if "at_ms" in entry else -1
-    _require(0 <= at_us <= sim.duration_us,
-             f"{where}: at_ms must lie within the simulation duration")
+    if not 0 <= at_us <= sim.duration_us:
+        raise ScenarioError(
+            f"{where}: at_ms must lie within the simulation duration")
     return at_us
 
 
 def _validate_script(raw, ids: set[str],
                      sim: SimSettings) -> list[ScriptDirective]:
-    _require(isinstance(raw, list), "script section must be a list")
+    if not isinstance(raw, list):
+        raise ScenarioError("script section must be a list")
     script = []
     for i, entry in enumerate(raw):
         where = f"script[{i}]"
-        _require(isinstance(entry, dict), f"{where} must be a mapping")
+        if not isinstance(entry, dict):
+            raise ScenarioError(f"{where} must be a mapping")
         _check_keys(entry, _SCRIPT_KEYS, where)
         action = entry.get("action")
-        _require(action in _ACTIONS,
-                 f"{where}: action must be one of {_ACTIONS}")
+        if action not in _ACTIONS:
+            raise ScenarioError(f"{where}: action must be one of {_ACTIONS}")
         initiator, peer = entry.get("from"), entry.get("to")
         for label, node in (("from", initiator), ("to", peer)):
-            _require(node in ids, f"{where}: {label} references unknown "
-                                  f"node {node!r}")
-        _require(initiator != peer, f"{where}: from and to must differ")
+            if node not in ids:
+                raise ScenarioError(f"{where}: {label} references unknown "
+                                    f"node {node!r}")
+        if initiator == peer:
+            raise ScenarioError(f"{where}: from and to must differ")
         script.append(ScriptDirective(_validate_at(entry, sim, where),
                                       action, initiator, peer))
     return script
@@ -327,14 +359,18 @@ def _validate_script(raw, ids: set[str],
 
 def _validate_mobility(raw, ids: set[str],
                        sim: SimSettings) -> list[MobilityStep]:
-    _require(isinstance(raw, list), "mobility section must be a list")
+    if not isinstance(raw, list):
+        raise ScenarioError("mobility section must be a list")
     steps = []
     for i, entry in enumerate(raw):
         where = f"mobility[{i}]"
-        _require(isinstance(entry, dict), f"{where} must be a mapping")
+        if not isinstance(entry, dict):
+            raise ScenarioError(f"{where} must be a mapping")
         _check_keys(entry, _MOBILITY_KEYS, where)
         node = entry.get("node")
-        _require(node in ids, f"{where}: node references unknown node {node!r}")
+        if node not in ids:
+            raise ScenarioError(
+                f"{where}: node references unknown node {node!r}")
         steps.append(MobilityStep(_validate_at(entry, sim, where), node,
                                   _validate_pos(entry.get("pos"), where)))
     return steps
@@ -342,19 +378,21 @@ def _validate_mobility(raw, ids: set[str],
 
 def _validate_traffic(raw, ids: set[str],
                       sim: SimSettings) -> list[TrafficSpec]:
-    _require(isinstance(raw, list), "traffic section must be a list")
+    if not isinstance(raw, list):
+        raise ScenarioError("traffic section must be a list")
     flows = []
     for i, entry in enumerate(raw):
         where = f"traffic[{i}]"
-        _require(isinstance(entry, dict), f"{where} must be a mapping")
+        if not isinstance(entry, dict):
+            raise ScenarioError(f"{where} must be a mapping")
         _check_keys(entry, _TRAFFIC_KEYS, where)
         for label in ("src", "dst"):
-            _require(entry.get(label) in ids,
-                     f"{where}: {label} references unknown node "
-                     f"{entry.get(label)!r}")
+            if entry.get(label) not in ids:
+                raise ScenarioError(f"{where}: {label} references unknown "
+                                    f"node {entry.get(label)!r}")
         bits = entry.get("payload_bits", 0)
-        _require(_integer(bits) and bits >= 0,
-                 f"{where}: payload_bits must be >= 0")
+        if not (_integer(bits) and bits >= 0):
+            raise ScenarioError(f"{where}: payload_bits must be >= 0")
         cls_name = entry.get("class", "REAL_TIME")
         try:
             cls = TrafficClass(cls_name)

@@ -19,33 +19,44 @@ route or a lost frame (`LOST`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .record import Record
 
 
-@dataclass
-class FlowSummary:
-    app_seq: int
-    src: str
-    dst: str
-    traffic_class: str
-    outcome: str = "IN_FLIGHT"  # until a record ends the flow
-    latency_us: int | None = None
-    path: list[str] = field(default_factory=list)
+class FlowSummary(Record):
+    __slots__ = ("app_seq", "src", "dst", "traffic_class", "outcome",
+                 "latency_us", "path")
+
+    def __init__(self, app_seq: int, src: str, dst: str, traffic_class: str,
+                 outcome: str = "IN_FLIGHT", latency_us: int | None = None,
+                 path: list[str] | None = None):
+        self.app_seq = app_seq
+        self.src = src
+        self.dst = dst
+        self.traffic_class = traffic_class
+        self.outcome = outcome  # IN_FLIGHT until a record ends the flow
+        self.latency_us = latency_us
+        self.path = [] if path is None else path
 
 
-@dataclass
-class AdvertStats:
-    tx: int = 0
-    entries: int = 0
-    full_dumps: int = 0
+class AdvertStats(Record):
+    __slots__ = ("tx", "entries", "full_dumps")
+
+    def __init__(self, tx: int = 0, entries: int = 0, full_dumps: int = 0):
+        self.tx = tx
+        self.entries = entries
+        self.full_dumps = full_dumps
 
 
-@dataclass
-class Summary:
-    flows: list[FlowSummary] = field(default_factory=list)
-    adverts: dict[str, AdvertStats] = field(default_factory=dict)
-    convergence_us: int = 0
-    drops: dict[str, int] = field(default_factory=dict)
+class Summary(Record):
+    __slots__ = ("flows", "adverts", "convergence_us", "drops")
+
+    def __init__(self, flows: list[FlowSummary] | None = None,
+                 adverts: dict[str, AdvertStats] | None = None,
+                 convergence_us: int = 0, drops: dict[str, int] | None = None):
+        self.flows = [] if flows is None else flows
+        self.adverts = {} if adverts is None else adverts
+        self.convergence_us = convergence_us
+        self.drops = {} if drops is None else drops
 
     def to_text(self) -> str:
         lines = [f"flows={len(self.flows)}"]

@@ -13,38 +13,37 @@ when it misses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .engine import NodeId
+from .record import FrozenRecord
 
 
 class UnknownNodeError(KeyError):
     pass
 
 
-@dataclass(frozen=True)
-class Position:
-    x: float
-    y: float
+class Position(FrozenRecord):
+    __slots__ = ("x", "y")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite position ({self.x}, {self.y})")
+    def __init__(self, x: float, y: float):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"non-finite position ({x}, {y})")
+        self._freeze(x, y)
 
 
-@dataclass(frozen=True)
-class RadioProfile:
-    range_m: float = 200.0
-    data_rate_bps: int = 250_000_000
-    per_hop_mac_latency_us: int = 2_000
+class RadioProfile(FrozenRecord):
+    __slots__ = ("range_m", "data_rate_bps", "per_hop_mac_latency_us")
 
-    def __post_init__(self):
+    def __init__(self, range_m: float = 200.0,
+                 data_rate_bps: int = 250_000_000,
+                 per_hop_mac_latency_us: int = 2_000):
         # written so NaN fails too: a NaN range would make in_range
         # depend on which end's neighbor set is asked
-        if not self.range_m > 0:
+        if not range_m > 0:
             raise ValueError("range_m must be positive")
-        if self.data_rate_bps <= 0:
+        if data_rate_bps <= 0:
             raise ValueError("data_rate_bps must be positive")
+        self._freeze(range_m, data_rate_bps, per_hop_mac_latency_us)
 
 
 class Topology:

@@ -28,7 +28,6 @@ transfer layer never reads the trace back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 
@@ -50,15 +49,20 @@ class DeliveryOutcome(Enum):
     IN_FLIGHT = "IN_FLIGHT"
 
 
-@dataclass
 class DeliveryReport:
-    app_seq: int
-    src: NodeId
-    dst: NodeId
-    outcome: DeliveryOutcome
-    path: list[NodeId]
-    latency_us: int | None
-    sent_at: int
+    __slots__ = ("app_seq", "src", "dst", "outcome", "path", "latency_us",
+                 "sent_at")
+
+    def __init__(self, app_seq: int, src: NodeId, dst: NodeId,
+                 outcome: DeliveryOutcome, path: list[NodeId],
+                 latency_us: int | None, sent_at: int):
+        self.app_seq = app_seq
+        self.src = src
+        self.dst = dst
+        self.outcome = outcome
+        self.path = path
+        self.latency_us = latency_us
+        self.sent_at = sent_at
 
 
 class TransferLayer(LinkEvents):

@@ -6,7 +6,7 @@ on a node out of everyone's range.
 The hash-seed and shift guard runs in child processes, so `PYTHONHASHSEED`
 takes effect; -B writes no bytecode next to bench/."""
 
-import dataclasses
+import copy
 import json
 import os
 import pathlib
@@ -29,7 +29,7 @@ SHIFT = (1000.0, -700.0)
 # the bundled scenarios and flows_many seed 1, each as given and with every
 # position and mobility target shifted by SHIFT; prints name -> digest
 _DIGESTS = """
-import dataclasses, json, sys, types
+import copy, json, sys, types
 from wfdsim.scenario import load_scenario
 from wfdsim.simulation import Simulation
 from wfdsim.topology import Position
@@ -40,14 +40,17 @@ dx, dy = float(sys.argv[2]), float(sys.argv[3])
 scenarios = {name: load_scenario(name) for name in sys.argv[4:]}
 scenarios["flows_many"] = load_scenario(workloads.generate("flows_many", 1))
 
+def moved(record):
+    # a copy of a node or a mobility step, its position shifted
+    record = copy.copy(record)
+    record.pos = Position(record.pos.x + dx, record.pos.y + dy)
+    return record
+
 def shifted(scenario):
-    move = lambda p: Position(p.x + dx, p.y + dy)
-    return dataclasses.replace(
-        scenario,
-        nodes=[dataclasses.replace(n, pos=move(n.pos))
-               for n in scenario.nodes],
-        mobility=[dataclasses.replace(s, pos=move(s.pos))
-                  for s in scenario.mobility])
+    scenario = copy.copy(scenario)
+    scenario.nodes = [moved(n) for n in scenario.nodes]
+    scenario.mobility = [moved(s) for s in scenario.mobility]
+    return scenario
 
 def digest(scenario):
     sim = Simulation(scenario)
@@ -92,7 +95,8 @@ def test_an_unscripted_node_out_of_range_changes_no_record(name):
     else:
         scenario = load_scenario(name)
         pinned = GOLDEN[name]
-    sim = Simulation(dataclasses.replace(scenario,
-                                         nodes=[*scenario.nodes, FAR]))
+    far_added = copy.copy(scenario)
+    far_added.nodes = [*scenario.nodes, FAR]
+    sim = Simulation(far_added)
     sim.run_until(scenario.sim.duration_us)
     assert sim.trace.sha256() == pinned

@@ -83,6 +83,28 @@ assert "yaml" in sys.modules
     assert result.returncode == 0, result.stderr
 
 
+def test_a_run_imports_no_dataclasses_module():
+    # wfdsim's records are plain classes, so neither the import nor a run
+    # from a mapping nor its summary loads dataclasses or what it imports
+    doc = variant(traffic=[{"at_ms": 4000, "src": "a", "dst": "b",
+                            "payload_bits": 8000}])
+    program = f"""
+import sys
+import wfdsim
+scenario = wfdsim.load_scenario({doc!r})
+sim = wfdsim.Simulation(scenario)
+sim.run_until(scenario.sim.duration_us)
+summary = wfdsim.build_summary(sim.trace.lines())
+assert summary == sim.summary()
+assert [f.outcome for f in summary.flows] == ["DELIVERED"], summary.flows
+loaded = [m for m in ("dataclasses", "inspect", "ast") if m in sys.modules]
+assert not loaded, loaded
+"""
+    result = subprocess.run([sys.executable, "-c", program],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
 def test_duplicate_node_id_names_the_id():
     doc = variant()
     doc["nodes"].append({"id": "a", "pos": [50, 0]})
