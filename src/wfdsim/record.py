@@ -38,7 +38,7 @@ class FrozenRecord(Record):
     __slots__ = ()
 
     def _freeze(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
+        for name, value in zip(self.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value) -> None:
