@@ -98,7 +98,8 @@ class LinkConfig(Record):
                  discovery_timeout_us: int = 10 * SECOND,
                  overlap_min_us: int = 20 * MS, wps_us: int = 200 * MS,
                  keepalive_us: int = 1 * SECOND, keepalive_miss_limit: int = 3,
-                 bridging: BridgingPolicy = BridgingPolicy.GO_AS_LEGACY_CLIENT):
+                 bridging: BridgingPolicy =
+                 BridgingPolicy.GO_AS_LEGACY_CLIENT):
         self.scan_us = scan_us
         self.find_min_us = find_min_us
         self.find_max_us = find_max_us

@@ -189,8 +189,7 @@ def _rule(test, must: str, convert=None):
 
 def _ms(value, where: str, key: str) -> int:
     """A non-negative number of milliseconds, as integer microseconds."""
-    if not (_integer(value)
-            or _number(value) and math.isfinite(value * MS)):
+    if not (_integer(value) or _number(value) and math.isfinite(value * MS)):
         raise ScenarioError(f"{where}: {key} must be a number of milliseconds")
     us = int(round(value * MS))
     if us < 0:

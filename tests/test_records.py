@@ -155,7 +155,8 @@ def test_loaded_scenarios_compare_deeply():
     assert not scenario != load_scenario(copy.deepcopy(DOC))
     # every part compares by value, not only the whole
     other = load_scenario(copy.deepcopy(DOC))
-    for a, b in [(scenario.sim, other.sim), (scenario.sim.link, other.sim.link),
+    for a, b in [(scenario.sim, other.sim),
+                 (scenario.sim.link, other.sim.link),
                  (scenario.sim.routing, other.sim.routing),
                  *zip(scenario.nodes, other.nodes),
                  *zip(scenario.script, other.script),

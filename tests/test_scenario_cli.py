@@ -262,10 +262,12 @@ def test_cli_replay_rejects_a_malformed_trace_with_one_error_line(
 # the key, the error it raises while it is the first fault left))
 FAULTY_ENTRIES = {
     "sim": (("sim",), {
-        "zz": 1, "yy": 2, "seed": 1.5, "duration_ms": 0, "wps_ms": -1,
-        "find_min_ms": 300, "find_max_ms": 200}, [
-        ("zz", None, "unknown field(s) in sim: yy, zz"),
-        ("yy", None, "unknown field(s) in sim: yy"),
+        "zz": 1, "yy": 2, "mm": 3, "aa": 4, "seed": 1.5, "duration_ms": 0,
+        "wps_ms": -1, "find_min_ms": 300, "find_max_ms": 200}, [
+        ("zz", None, "unknown field(s) in sim: aa, mm, yy, zz"),
+        ("yy", None, "unknown field(s) in sim: aa, mm, yy"),
+        ("mm", None, "unknown field(s) in sim: aa, mm"),
+        ("aa", None, "unknown field(s) in sim: aa"),
         ("seed", 1, "sim: seed must be an integer"),
         ("wps_ms", 200, "sim: wps_ms must be non-negative"),
         ("find_min_ms", 100, "sim: find_min_ms must not exceed find_max_ms"),
