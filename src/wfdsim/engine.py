@@ -8,11 +8,12 @@ ordered by (fire_at, seq) where seq is the insertion sequence, so ties at
 equal fire_at resolve in schedule order and replays are exact.
 
 Each queued event is a list `[fire_at, seq, fn, args]`.  seq is unique, so
-heap comparisons never reach `fn` and run entirely in C.  Cancelling sets
-`fn` to None; the event stays queued and is skipped when popped.  Before it
-runs an event, `run_until` asserts that its (fire_at, seq) is greater than
-that of the last event it ran, in this slice or an earlier one; the last
-event is kept as two ints, so the check builds no tuple.
+heap comparisons never reach `fn` and run entirely in C.  `call_later`
+returns the event itself as an opaque token, and `Engine.cancel(event)`
+sets its `fn` to None; the event stays queued and is skipped when popped.
+Before it runs an event, `run_until` asserts that its (fire_at, seq) is
+greater than that of the last event it ran, in this slice or an earlier
+one; the last event is kept as two ints, so the check builds no tuple.
 
 The trace is write-only for the simulator: layers emit records into it,
 and it is read back only as text: by the summary (`summary.build_summary`)
@@ -50,18 +51,6 @@ class EventClass(Enum):
     DELIVER = "DELIVER"
     DROP = "DROP"
     CONNECT = "CONNECT"
-
-
-class EventHandle:
-    """Cancellation token for a scheduled event."""
-
-    __slots__ = ("_event",)
-
-    def __init__(self, event: list):
-        self._event = event
-
-    def cancel(self) -> None:
-        self._event[2] = None
 
 
 def _format_value(value: Any) -> str:
@@ -187,13 +176,19 @@ class Engine:
         return self.rng.stream(f"node:{node}")
 
     def call_later(self, delay_us: int, fn: Callable[..., None],
-                   *args: Any) -> EventHandle:
-        """Run fn(*args) delay_us from now; the handle cancels it."""
+                   *args: Any) -> list:
+        """Run fn(*args) delay_us from now; returns the event, which only
+        `cancel` may use."""
         if delay_us < 0:
             raise ValueError(f"negative delay {delay_us}")
         event = [self._now + delay_us, next(self._seq), fn, args]
         heapq.heappush(self._queue, event)
-        return EventHandle(event)
+        return event
+
+    @staticmethod
+    def cancel(event: list) -> None:
+        """Keep an event `call_later` returned from running."""
+        event[2] = None
 
     def run_until(self, t_end_us: int) -> int:
         """Process every event with fire_at <= t_end_us; now() ends at t_end_us."""

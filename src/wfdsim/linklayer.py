@@ -178,7 +178,7 @@ class _DiscoverySession:
     """Live while it is its node's entry in `LinkLayer._sessions`."""
 
     __slots__ = ("node", "target", "listen_channel", "leg_state",
-                 "leg_channel", "leg_start", "leg_end", "handles", "on_found",
+                 "leg_channel", "leg_start", "leg_end", "events", "on_found",
                  "on_timeout")
 
     def __init__(self, node: NodeId, target: NodeId | None,
@@ -190,7 +190,7 @@ class _DiscoverySession:
         self.leg_channel: int = 0
         self.leg_start: int = 0
         self.leg_end: int = 0
-        self.handles: list = []
+        self.events: list = []  # from call_later, for Engine.cancel
         self.on_found = on_found
         self.on_timeout = on_timeout
 
@@ -305,10 +305,10 @@ class LinkLayer:
         self.engine.log(node, EventClass.DISCOVERY, action="start",
                         target=target or "-")
         # a drawn first leg keeps simultaneous starters out of lockstep
-        session.handles.append(self.engine.call_later(
+        session.events.append(self.engine.call_later(
             self.config.scan_us, self._begin_find_leg, session,
             rng.choice(FIND_STATES)))
-        session.handles.append(self.engine.call_later(
+        session.events.append(self.engine.call_later(
             self.config.discovery_timeout_us, self._discovery_timeout, session))
 
     def abort_discovery(self, node: NodeId) -> None:
@@ -332,7 +332,7 @@ class LinkLayer:
         self.engine.log(session.node, EventClass.DISCOVERY, action="leg",
                         state=leg_state.value.lower(),
                         chan=session.leg_channel, dur_us=duration)
-        session.handles.append(self.engine.call_later(
+        session.events.append(self.engine.call_later(
             duration, self._begin_find_leg, session,
             DeviceState.FIND_LISTEN if leg_state is DeviceState.FIND_SEARCH
             else DeviceState.FIND_SEARCH))
@@ -355,7 +355,7 @@ class LinkLayer:
             overlap = min(session.leg_end, peer.leg_end) - now
             if overlap < self.config.overlap_min_us:
                 continue
-            session.handles.append(self.engine.call_later(
+            session.events.append(self.engine.call_later(
                 self.config.overlap_min_us, self._probe_success, session, peer,
                 (session.leg_start, peer.leg_start)))
 
@@ -393,9 +393,9 @@ class LinkLayer:
             session.on_timeout(node)
 
     def _end_session(self, session: _DiscoverySession) -> None:
-        for handle in session.handles:
-            handle.cancel()
-        session.handles.clear()
+        for event in session.events:
+            self.engine.cancel(event)
+        session.events.clear()
         self._sessions.pop(session.node, None)
 
     # ------------------------------------------------------------------

@@ -15,10 +15,6 @@ hop count requirement keeps every candidate strictly closer to the
 destination, which is what makes per-hop class selection loop-free once
 tables have converged.
 
-A node that drops a packet for want of a route relays a
-`RouteErrorNotice` toward the packet's source; it has no effect once it
-reaches the source, which changes no table on it.
-
 Merging skips, before building any entry, the advertised candidates that
 cannot change the table.  Against the destination's primary these are: an
 older sequence number (freshness-first rejects it outright); an equal
@@ -54,7 +50,7 @@ from .engine import Engine, EventClass, NodeId
 from .record import Record
 
 INFINITE_HOPS = 1 << 16
-CONTROL_FRAME_BITS = 1024  # wire size of discovery/advert/error frames
+CONTROL_FRAME_BITS = 1024  # wire size of discovery/advert frames
 
 
 class RoutingError(Exception):
@@ -163,17 +159,6 @@ class DiscoveryResponse(NamedTuple):
     seq_no: int
     energy_cost: float
     echo_us: int
-
-
-class RouteErrorNotice:
-    __slots__ = ("orig_src", "unreachable", "app_seq", "hops_left")
-
-    def __init__(self, orig_src: NodeId, unreachable: NodeId, app_seq: int,
-                 hops_left: int = 16):
-        self.orig_src = orig_src
-        self.unreachable = unreachable
-        self.app_seq = app_seq
-        self.hops_left = hops_left
 
 
 class LinkMetrics(NamedTuple):
@@ -323,11 +308,9 @@ def _consider(table: RoutingTable, cand: RoutingEntry) -> bool:
         return _route_fields(cand) != _route_fields(primary)
     if cand.seq_no < primary.seq_no:
         return False
-    # equal sequence
+    # equal sequence, so both valid (even) or both invalidated (odd)
     if not cand.valid:
         return False
-    if not primary.valid:
-        return False  # even == odd cannot happen; defensive
     if (cand.hop_count, cand.latency_us) < (primary.hop_count, primary.latency_us):
         if (primary.next_hop != cand.next_hop
                 and primary.hop_count == cand.hop_count):
@@ -517,10 +500,6 @@ class RoutingAgent:
 
     def _on_advert(self, advert: TableAdvert, sent_at: int) -> None:
         now = self.engine.now()
-        if not self.transfer.linked(self.node, advert.sender):
-            self.engine.log(self.node, EventClass.DROP, reason="non_neighbor",
-                            src=advert.sender)
-            return
         link = self.link_metrics.get(advert.sender)
         if link is None or advert.full_dump:
             # full dumps refresh the link estimate from the frame's measured
@@ -587,9 +566,6 @@ class RoutingAgent:
             self.engine.log(self.node, EventClass.DROP, reason="no_route",
                             src=pkt.src, dst=pkt.dst, app_seq=pkt.app_seq)
             self.transfer.notify_drop(pkt.app_seq, "no_route")
-            if pkt.src != self.node:
-                self._relay_route_error(
-                    RouteErrorNotice(pkt.src, pkt.dst, pkt.app_seq))
             return
         self.engine.log(self.node, EventClass.FORWARD, src=pkt.src,
                         dst=pkt.dst, app_seq=pkt.app_seq, ttl=pkt.ttl,
@@ -597,20 +573,6 @@ class RoutingAgent:
                         bits=pkt.payload_bits)
         pkt.path.append(self.node)
         self.transfer.send_data(self.node, pkt, next_hop)
-
-    def _relay_route_error(self, notice: RouteErrorNotice) -> None:
-        if notice.hops_left <= 0:
-            return
-        notice.hops_left -= 1
-        try:
-            next_hop = self.select_route(notice.orig_src, TrafficClass.REAL_TIME)
-        except NoRouteError:
-            return  # best effort only
-        self.transfer.send_control(self.node, next_hop, notice)
-
-    def _on_route_error(self, notice: RouteErrorNotice) -> None:
-        if notice.orig_src != self.node:
-            self._relay_route_error(notice)
 
     # ------------------------------------------------------------------
     # dispatch from the transfer layer
@@ -622,7 +584,5 @@ class RoutingAgent:
             self._on_discovery_response(msg, sent_at)
         elif isinstance(msg, TableAdvert):
             self._on_advert(msg, sent_at)
-        elif isinstance(msg, RouteErrorNotice):
-            self._on_route_error(msg)
         else:
             raise TypeError(f"unknown control message {type(msg).__name__}")

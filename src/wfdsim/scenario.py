@@ -29,7 +29,6 @@ import math
 import os
 import re
 from collections import defaultdict
-from importlib import resources
 
 from .engine import MS, SECOND
 from .linklayer import SOCIAL_CHANNELS, BridgingPolicy, LinkConfig
@@ -129,6 +128,7 @@ class Scenario(Record):
 
 def bundled_scenario_path(name: str):
     """Resolve a bundled scenario name (e.g. 'chain4') to its file path."""
+    from importlib import resources  # only runs from a bundled name need it
     resource = resources.files("wfdsim").joinpath(f"scenarios/{name}.yaml")
     if not resource.is_file():
         raise ScenarioError(f"no bundled scenario named {name!r}")

@@ -188,10 +188,6 @@ class TransferLayer(LinkEvents):
     # ------------------------------------------------------------------
     # frame plane
 
-    def linked(self, node: NodeId, peer: NodeId) -> bool:
-        """Whether node may unicast to peer right now."""
-        return self.linklayer.unicast_group(node, peer) is not None
-
     def broadcast_control(self, node: NodeId, msg) -> set[NodeId]:
         """One-hop broadcast of a control message into every group context
         of the node; returns the union of intended recipients."""
@@ -202,6 +198,7 @@ class TransferLayer(LinkEvents):
         return reached
 
     def send_control(self, node: NodeId, peer: NodeId, msg) -> bool:
+        """Called by nothing in wfdsim; kept while bench/spans.py wraps it."""
         return self._send_frame(node, peer, CONTROL_FRAME_BITS, msg)
 
     def send_data(self, node: NodeId, pkt: Packet, next_hop: NodeId) -> bool:

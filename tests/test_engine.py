@@ -34,8 +34,8 @@ def test_equal_fire_times_run_in_schedule_order():
 def test_cancelled_event_never_fires():
     engine = Engine()
     fired = []
-    handle = engine.call_later(10 * MS, lambda: fired.append(1))
-    handle.cancel()
+    event = engine.call_later(10 * MS, lambda: fired.append(1))
+    engine.cancel(event)
     engine.run_until(1 * SECOND)
     assert fired == []
 
@@ -195,10 +195,10 @@ def test_event_order_and_cancellation_property(items):
     engine = Engine()
     fired = []
     for delay, cancel in items:
-        handle = engine.call_later(
+        event = engine.call_later(
             delay, lambda d=delay: fired.append((engine.now(), d)))
         if cancel:
-            handle.cancel()
+            engine.cancel(event)
     engine.run_until(20_000)
     expected = sorted(d for d, cancel in items if not cancel)
     assert [d for _, d in fired] == expected

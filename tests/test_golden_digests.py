@@ -31,6 +31,18 @@ GOLDEN = {
 }
 
 
+def assert_valid_iff_even_seq(sim):
+    """A valid route carries an even sequence number (its origin's own, or
+    one copied from a valid route), an invalidated one an odd one (a valid
+    route's plus one, or one copied from an invalidated route); `_consider`
+    relies on it when it compares two routes of equal sequence."""
+    wrong = [(node, e.destination, e.seq_no, e.hop_count)
+             for node, agent in sorted(sim.agents.items())
+             for slots in agent.table.entries.values() for e in slots
+             if e.valid != (e.seq_no % 2 == 0)]
+    assert wrong == []
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_bundled_scenario_trace_digest_is_pinned(name):
     sim = Simulation.from_source(name)
@@ -38,6 +50,7 @@ def test_bundled_scenario_trace_digest_is_pinned(name):
     assert sim.trace.sha256() == GOLDEN[name]
     # every connect the scenario requests ends once, and nothing else ends
     assert connect_ends(sim.trace)[1:] == (0, [])
+    assert_valid_iff_even_seq(sim)
 
 
 def test_summary_mid_run_keeps_later_records_in_the_trace():
@@ -73,7 +86,7 @@ WORKLOAD_GOLDEN = {
 # seed-1 events each workload runs: the count `events_per_s` divides by,
 # and a refactor that keeps the trace must keep it too
 WORKLOAD_STEPS = {"chain_long": 32_685, "flows_many": 7_880,
-                  "churn_grid": 19_529}
+                  "churn_grid": 19_528}
 
 # seed-1 ends of each workload's connects: every `request` is ended by
 # exactly one `up` or `failed` of its pair, and no end is without one
@@ -94,6 +107,7 @@ def test_bench_workload_trace_digest_is_pinned(name):
     assert sim.trace.sha256() == WORKLOAD_GOLDEN[name]
     assert sim.engine.steps == WORKLOAD_STEPS[name]
     assert connect_ends(sim.trace) == WORKLOAD_CONNECT_ENDS[name]
+    assert_valid_iff_even_seq(sim)
 
 
 CHILD = pathlib.Path(__file__).resolve().parent.parent / "bench" / "child.py"

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wfdsim import routing
-from wfdsim.engine import SECOND, Engine, EventClass
+from wfdsim.engine import MS, SECOND, Engine, EventClass
 from wfdsim.routing import (INFINITE_HOPS, AdvertEntry, LinkMetrics,
                             NoRouteError, Packet, RoutingAgent, RoutingConfig,
-                            RouteErrorNotice, RoutingEntry, RoutingTable,
-                            TableAdvert, TrafficClass, _consider, merge_advert,
+                            RoutingEntry, RoutingTable, TableAdvert,
+                            TrafficClass, _consider, merge_advert,
                             merge_full_dump, select_route)
 
 from conftest import make_sim, peers, trace_records
@@ -371,15 +371,8 @@ class FakeTransfer:
         self.drops = []
         self.controls = []
 
-    def linked(self, node, peer):
-        return peer in self.peers
-
     def send_data(self, node, pkt, next_hop):
         self.sent.append((node, pkt, next_hop))
-        return True
-
-    def send_control(self, node, peer, msg):
-        self.controls.append((node, peer, msg))
         return True
 
     def broadcast_control(self, node, msg):
@@ -436,28 +429,22 @@ def test_forward_without_route_drops_and_reports_at_source():
     pkt = Packet("a", "d", 1, 16, TrafficClass.REAL_TIME, 100)
     agent.forward(pkt)
     assert agent.transfer.drops == [(1, "no_route")]
-    assert agent.transfer.controls == []  # no notice to itself
+    assert agent.transfer.controls == []
 
 
-def test_forward_without_route_relays_error_toward_remote_source():
+def test_forward_without_route_at_relay_drops_and_sends_nothing():
+    # a relay with a route back to the source still sends it no notice:
+    # the next advert repairs the table, and the drop is all it reports
     engine, agent = agent_with({"s": [
         RoutingEntry("s", "b", 1, 2, 2000, 1.0, 0)]})
     pkt = Packet("s", "d", 9, 5, TrafficClass.BULK, 100)
     agent.forward(pkt)
     assert agent.transfer.drops == [(9, "no_route")]
-    (node, peer, msg), = [c for c in agent.transfer.controls]
-    assert (node, peer) == ("a", "b")
-    assert msg.orig_src == "s" and msg.app_seq == 9
-
-
-def test_route_error_notice_stops_at_its_source():
-    engine, agent = agent_with({"s": [
-        RoutingEntry("s", "b", 1, 2, 2000, 1.0, 0)]})
-    agent.handle_control(RouteErrorNotice("a", "d", 3), 0)
     assert agent.transfer.controls == []
-    agent.handle_control(RouteErrorNotice("s", "d", 4), 0)
-    (node, peer, msg), = agent.transfer.controls
-    assert (node, peer, msg.app_seq) == ("a", "b", 4)
+    assert agent.transfer.sent == []
+    drop = trace_records(engine.trace)[-1]
+    assert (drop.node, drop.event_class, drop.details["reason"]) == \
+        ("a", EventClass.DROP.value, "no_route")
 
 
 # ----------------------------------------------------------------------
@@ -779,6 +766,32 @@ def test_advert_after_join_carries_exactly_new_destinations():
     assert after, "owner never advertised after the join"
     dests = {e.split(":")[0] for e in after[0].details["entries"].split(",")}
     assert dests == {"c1", "c2"}
+
+
+def test_advert_whose_receiver_left_in_flight_is_lost_at_arrival():
+    # `_on_advert` trusts the link layer: a frame reaches its receiver only
+    # while both ends are still in the frame's group
+    sim = make_sim([("go", 0, 0, 14), ("c1", -75, 0, 2), ("c2", 75, 0, 3)],
+                   script=[(0, "connect", "c1", "go"),
+                           (2.5, "join", "c2", "go")])
+    sim.run_until(10 * SECOND - 1)
+    # c1 leaves after every tick at 10 s, while the owner's full dump,
+    # which carries a fresher sequence for the owner, is in flight
+    sim.engine.call_later(1, sim.linklayer.leave_group, "c1")
+    sim.run_until(10 * SECOND + 500 * MS)
+    (dump,) = [r for r in trace_records(sim.trace, EventClass.ADVERT, "tx")
+               if r.node == "go" and r.time_us == 10 * SECOND]
+    assert dump.details["full"] == "1"
+    lost = [r for r in trace_records(sim.trace, EventClass.DROP)
+            if r.node == "go" and r.details["dst"] == "c1"]
+    assert [(r.details["reason"], r.details["size_bits"]) for r in lost] \
+        == [("lost", "1024")]
+    assert lost[0].time_us > 10 * SECOND
+    assert not [r for r in trace_records(sim.trace, EventClass.ADVERT, "rx")
+                if r.node == "c1" and r.time_us >= 10 * SECOND]
+    assert not sim.table("c1").primary("go").valid
+    assert sim.table("c2").primary("go").seq_no == \
+        sim.table("go").self_seq
 
 
 def test_full_dump_every_tenth_tick():

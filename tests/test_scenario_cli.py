@@ -105,6 +105,23 @@ assert not loaded, loaded
     assert result.returncode == 0, result.stderr
 
 
+def test_a_run_from_a_mapping_imports_no_importlib_resources():
+    # only a bundled scenario name needs importlib.resources; -S keeps
+    # site's .pth hooks, which may import it themselves, out of the check
+    doc = variant(traffic=[{"at_ms": 4000, "src": "a", "dst": "b",
+                            "payload_bits": 8000}])
+    program = f"""
+import sys
+import wfdsim
+summary = wfdsim.Simulation(wfdsim.load_scenario({doc!r})).run()
+assert [f.outcome for f in summary.flows] == ["DELIVERED"], summary.flows
+assert "importlib.resources" not in sys.modules
+"""
+    result = subprocess.run([sys.executable, "-S", "-c", program],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
 def test_duplicate_node_id_names_the_id():
     doc = variant()
     doc["nodes"].append({"id": "a", "pos": [50, 0]})
