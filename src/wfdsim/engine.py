@@ -19,10 +19,12 @@ The trace is write-only for the simulator: layers emit records into it,
 and it is read back only as text: by the summary (`summary.build_summary`)
 and, from a written trace file, by `wfdsim replay`.  A record is formatted
 after the loop, the first time the trace is read.  Each value is formatted
-by its exact type first: a `str` as it is, an `int` in decimal, a list or
-tuple element by element joined with commas.  Anything else (a `bool`, a
-`float`, an `Enum`, a subclass) goes through `isinstance` tests: `1`/`0`,
-`format(v, "g")`, the member's value, or `str()`.
+by its exact type first: a `str` as it is and an `int` in decimal, both
+written into the line directly, then a list or tuple element by element
+joined with commas.  Anything else (a `bool`, a `float`, an `Enum`, a
+subclass) goes through `isinstance` tests: `1`/`0`, `format(v, "g")`, the
+member's value, or `str()`.  An `Enum`'s text, the record's class too, is
+read from `_value_`, which skips the `value` property's descriptor call.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ def _format_value(value: Any) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, Enum):
-        return str(value.value)
+        return str(value._value_)
     if isinstance(value, float):
         return format(value, "g")
     if isinstance(value, (list, tuple)):
@@ -75,9 +77,13 @@ def _format_value(value: Any) -> str:
 
 def _line(record: tuple) -> str:
     time_us, node, event_class, details = record
-    line = f"{time_us} {node} {event_class.value}"
+    line = f"{time_us} {node} {event_class._value_}"
     for key, value in details.items():
-        line += f" {key}={_format_value(value)}"
+        kind = type(value)
+        if kind is str or kind is int:
+            line += f" {key}={value}"
+        else:
+            line += f" {key}={_format_value(value)}"
     return line
 
 

@@ -5,12 +5,14 @@ read back from a trace file) so the figures a run reports and the figures
 `replay` recomputes go through the identical code path.
 
 It parses by class first: each line is split into time, node, class and
-the rest, and the rest becomes a `key=value` dict only for the classes the
-summary reads (FORWARD, DELIVER, DROP, `action=resp` DISCOVERY lines).  Of
-an ADVERT line only the fields whose key may be `action`, `full` or `n`
-are partitioned, so the long `entries` and `changed` values never are.
-A field is read as `key=value`: the last of a repeated key wins, and a
-field without `=` has the empty value.
+the rest, and of the rest only the fields whose key may be one its class
+reads become a `key=value` dict.  ADVERT reads `action`, `full` and `n`;
+FORWARD `app_seq`, `src`, `dst` and `cls`; DELIVER `app_seq`, `src` and
+`cls`; DROP `reason`, `app_seq`, `src`, `dst` and `cls`; an `action=resp`
+DISCOVERY line `action` and `changed`.  No other line is split past its
+class, and an ADVERT's `entries` or a FORWARD's `ttl`, `next` and `bits`
+are never split.  A field is read as `key=value`: the last of a repeated
+key wins, and a field without `=` has the empty value.
 
 A flow's outcome is `IN_FLIGHT` until the first record that ends it: its
 `DELIVER`, or a `DROP` naming its `app_seq` for a TTL expiry, a missing
@@ -80,22 +82,12 @@ _TERMINAL_DROPS = {"ttl_expired": "TTL_EXPIRED", "no_route": "NO_ROUTE",
                    "lost": "LOST"}
 
 
-def _fields(rest: str) -> dict[str, str]:
-    """The `key=value` fields after a line's class (an empty rest gives
-    the key "", which nothing reads)."""
-    return dict(part.partition("=")[::2] for part in rest.split(" "))
-
-
-_ADVERT_READS = ("action", "full", "n")
-
-
-def _advert_fields(rest: str) -> dict[str, str]:
-    """What the summary reads of an ADVERT line's fields: `action`, `full`
-    and `n`, as `_fields` reads them.  Only fields whose key may be one of
-    those are partitioned."""
+def _fields(rest: str, reads: tuple[str, ...]) -> dict[str, str]:
+    """The `key=value` fields after a line's class whose key may be one of
+    `reads`: only a field that starts with one of them is partitioned."""
     fields: dict[str, str] = {}
     for part in rest.split(" "):
-        if part.startswith(_ADVERT_READS):
+        if part.startswith(reads):
             key, _, value = part.partition("=")
             fields[key] = value
     return fields
@@ -109,9 +101,10 @@ def build_summary(lines) -> Summary:
     flows: dict[int, FlowSummary] = {}
     starts: dict[int, int] = {}
 
-    number, line = 0, ""
-    try:
-        for number, line in enumerate(lines, 1):
+    # only an error raised while parsing a line is relabelled with it;
+    # one from `lines` itself (a byte that does not decode) is not
+    for number, line in enumerate(lines, 1):
+        try:
             text = line.strip()
             if not text:
                 continue
@@ -124,7 +117,7 @@ def build_summary(lines) -> Summary:
             if node not in adverts:
                 adverts[node] = AdvertStats()
             if event_class == "ADVERT":
-                d = _advert_fields(rest)
+                d = _fields(rest, ("action", "full", "n"))
                 if d.get("action") == "tx":
                     stats = adverts[node]
                     stats.tx += 1
@@ -134,7 +127,7 @@ def build_summary(lines) -> Summary:
                     summary.convergence_us = max(summary.convergence_us,
                                                  time_us)
             elif event_class == "FORWARD":
-                d = _fields(rest)
+                d = _fields(rest, ("app_seq", "src", "dst", "cls"))
                 app_seq = int(d["app_seq"])
                 if d["src"] == node and app_seq not in flows:
                     flows[app_seq] = FlowSummary(app_seq, d["src"], d["dst"],
@@ -145,7 +138,7 @@ def build_summary(lines) -> Summary:
                         d["src"] == flow.src:
                     flow.path.append(node)
             elif event_class == "DELIVER":
-                d = _fields(rest)
+                d = _fields(rest, ("app_seq", "src", "cls"))
                 app_seq = int(d["app_seq"])
                 flow = flows.get(app_seq)
                 if flow is None:
@@ -159,7 +152,7 @@ def build_summary(lines) -> Summary:
                     flow.latency_us = time_us - starts[app_seq]
                     flow.path.append(node)
             elif event_class == "DROP":
-                d = _fields(rest)
+                d = _fields(rest, ("reason", "app_seq", "src", "dst", "cls"))
                 reason = d.get("reason", "unknown")
                 summary.drops[reason] = summary.drops.get(reason, 0) + 1
                 if reason in _TERMINAL_DROPS and "app_seq" in d:
@@ -174,14 +167,15 @@ def build_summary(lines) -> Summary:
             elif event_class == "DISCOVERY":
                 # only an `action=resp` line is read
                 if "action=resp" in rest:
-                    d = _fields(rest)
+                    d = _fields(rest, ("action", "changed"))
                     if d.get("action") == "resp" and \
                             d.get("changed", "-") != "-":
                         summary.convergence_us = max(summary.convergence_us,
                                                      time_us)
-    except (KeyError, ValueError) as exc:
-        why = f"no {exc} field" if isinstance(exc, KeyError) else exc
-        raise ValueError(f"line {number}: {why}: {line.strip()!r}") from None
+        except (KeyError, ValueError) as exc:
+            why = f"no {exc} field" if isinstance(exc, KeyError) else exc
+            message = f"line {number}: {why}: {line.strip()!r}"
+            raise ValueError(message) from None
 
     summary.flows = [flows[k] for k in sorted(flows)]
     return summary

@@ -258,14 +258,19 @@ def test_cli_run_rejects_bad_until_with_one_error_line(until):
 
 
 @pytest.mark.parametrize("text, where", [
-    ("garbage\n", "line 1: fewer than three fields: 'garbage'"),
-    ("5 n1 DELIVER src=n1 app_seq=0\n\n10 n1 FORWARD src=n1\n",
+    (b"garbage\n", "line 1: fewer than three fields: 'garbage'"),
+    (b"5 n1 DELIVER src=n1 app_seq=0\n\n10 n1 FORWARD src=n1\n",
      "line 3: no 'app_seq' field: '10 n1 FORWARD src=n1'"),
+    # a byte that is not UTF-8 names no line: the file is decoded ahead of
+    # the lines the summary has parsed
+    (b"5 n1 DELIVER src=n1 app_seq=0\n\xff\n",
+     "'utf-8' codec can't decode byte 0xff in position 30: invalid start "
+     "byte"),
 ])
 def test_cli_replay_rejects_a_malformed_trace_with_one_error_line(
         tmp_path, text, where):
     bad = tmp_path / "bad.trace"
-    bad.write_text(text)
+    bad.write_bytes(text)
     result = subprocess.run(
         [sys.executable, "-m", "wfdsim.cli", "replay", str(bad)],
         capture_output=True, text=True, timeout=120)

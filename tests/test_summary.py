@@ -10,7 +10,7 @@ reference's `Summary` or its `ValueError`.
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from wfdsim.simulation import Simulation
 from wfdsim.summary import (AdvertStats, FlowSummary, Summary,
@@ -149,6 +149,16 @@ VALUES = {
     "group": st.sampled_from(["1", "2"]),
     "addr": st.sampled_from(["192.168.49.1"]),
     "intent": st.sampled_from(["7"]),
+    # foreign keys that extend a key the summary reads: each is its own
+    # key, not the one it starts with
+    "srcs": _node, "dst2": _node,
+    "app_seqs": st.sampled_from(["0", "x"]),
+    "clsx": st.sampled_from(["BULK"]),
+    "reasons": st.sampled_from(["lost", "no_route"]),
+    "actions": st.sampled_from(["tx", "rx", "resp"]),
+    "fulls": st.sampled_from(["1"]),
+    "nn": st.sampled_from(["3", "n"]),
+    "changedx": st.sampled_from(["a", "-"]),
 }
 # what the two classes that read `action` mostly hold in it
 CLASS_VALUES = {
@@ -235,6 +245,15 @@ def trace_text(draw):
 # each example draws a few hundred values, which can pass the too_slow limit
 @settings(suppress_health_check=[HealthCheck.too_slow])
 @given(trace_text())
+# every field a class reads changes this summary, whatever is drawn: the
+# first DROP's `cls` is the class of the flow it ends, and the bare
+# `reason` of the second is read as the empty reason
+@example(["10 a ADVERT action=tx full=1 n=3 entries=-",
+          "20 b DISCOVERY action=resp peer=a changed=a",
+          "30 a FORWARD src=a dst=c app_seq=0 ttl=7 next=b cls=BULK bits=8",
+          "40 c DELIVER src=d app_seq=1 cls=REAL_TIME bits=8",
+          "50 b DROP reason=no_route src=b dst=d app_seq=2 cls=BULK",
+          "60 c DROP reason"])
 def test_build_summary_matches_the_field_by_field_reference(lines):
     assert outcome(build_summary, lines) == \
         outcome(reference_build_summary, lines)
@@ -260,6 +279,8 @@ def test_every_bundled_scenario_summary_matches_the_reference():
     (["5 a ADVERT action=tx n=three entries=-"],
      "line 1: invalid literal for int() with base 10: 'three': "
      "'5 a ADVERT action=tx n=three entries=-'"),
+    (["5 a FORWARD app_seqs=1 src=a"],
+     "line 1: no 'app_seq' field: '5 a FORWARD app_seqs=1 src=a'"),
 ])
 def test_malformed_lines_name_their_number(lines, message):
     assert outcome(build_summary, lines) == f"ValueError: {message}"
