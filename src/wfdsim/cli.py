@@ -55,9 +55,9 @@ def main(argv=None) -> int:
             print("ok")
             return 0
         if args.command == "replay":
-            with open(args.trace, "r", encoding="utf-8") as fh:
+            with open(args.trace, "rb") as fh:
                 try:
-                    text = build_summary(fh).to_text()
+                    text = build_summary(_decoded(fh)).to_text()
                 except ValueError as exc:
                     print(f"error: {args.trace}: {exc}", file=sys.stderr)
                     return 1
@@ -67,6 +67,16 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 2
+
+
+def _decoded(lines):
+    """Each line of a binary file as text; a byte that is not UTF-8 raises
+    one ValueError that names its line."""
+    for number, line in enumerate(lines, 1):
+        try:
+            yield line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"line {number}: {exc}") from None
 
 
 def _cmd_run(args) -> int:

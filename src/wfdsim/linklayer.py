@@ -10,6 +10,13 @@ through the bridging policy, where a group owner additionally attaches to
 a foreign group as a legacy client and may then exchange frames with that
 group's owner.
 
+A group keeps one member map, from each client or bridged owner to the
+keepalives it has missed in a row; `_member_of` and `_bridges` say which
+of the two a member is.  The owner holds address 1 and members are given
+2, 3, ..., each traced on the member's `join` or `bridge` record and kept
+nowhere else.  Only `_admit` and `_detach` change a member map, and
+`_detach` reports each link down.
+
 The layer reports upward to one object, `LinkEvents` (`LinkLayer.upper`):
 frame arrivals, frames lost at arrival, and links that come up or go down.
 The transfer layer is that object in a simulation; tests substitute a
@@ -112,27 +119,14 @@ class LinkConfig(Record):
 
 
 class Group:
-    __slots__ = ("group_id", "owner", "channel", "clients", "legacy",
-                 "addresses", "_next_addr", "misses")
+    __slots__ = ("group_id", "owner", "members", "next_addr")
 
-    def __init__(self, group_id: int, owner: NodeId, channel: int):
+    def __init__(self, group_id: int, owner: NodeId):
         self.group_id = group_id
         self.owner = owner
-        self.channel = channel
-        self.clients: set[NodeId] = set()
-        self.legacy: set[NodeId] = set()  # bridged foreign GOs
-        self.addresses: dict[NodeId, int] = {}
-        self._next_addr = 2
-        self.misses: dict[NodeId, int] = {}
-
-    def members(self) -> set[NodeId]:
-        return self.clients | self.legacy
-
-    def assign_address(self, node: NodeId) -> int:
-        addr = self._next_addr
-        self._next_addr += 1
-        self.addresses[node] = addr
-        return addr
+        # member -> keepalives it has missed in a row
+        self.members: dict[NodeId, int] = {}
+        self.next_addr = 2  # the owner holds address 1
 
 
 class Frame:
@@ -273,7 +267,7 @@ class LinkLayer:
     def unicast_group(self, a: NodeId, b: NodeId) -> Group | None:
         """The group in whose context a may unicast to b, if any."""
         group = self._owns.get(a)
-        if group is not None and (b in group.clients or b in group.legacy):
+        if group is not None and b in group.members:
             return group
         group = self._member_of.get(a)
         if group is not None and group.owner == b:
@@ -485,9 +479,8 @@ class LinkLayer:
         channel = self._channels[owner]
         if channel is None:
             channel = self.engine.node_rng(owner).choice(SOCIAL_CHANNELS)
-        group = Group(self._next_group_id, owner, channel)
+        group = Group(self._next_group_id, owner)
         self._next_group_id += 1
-        group.addresses[owner] = 1
         self.groups[group.group_id] = group
         self._owns[owner] = group
         self.engine.log(owner, EventClass.GROUP, action="formed",
@@ -501,14 +494,13 @@ class LinkLayer:
     # group membership
 
     def _admit(self, group: Group, node: NodeId, kind: str) -> int:
-        addr = group.assign_address(node)
-        group.misses[node] = 0
+        addr = group.next_addr
+        group.next_addr += 1
+        group.members[node] = 0
         if kind == "client":
-            group.clients.add(node)
             self._member_of[node] = group
             action = "join"
         else:
-            group.legacy.add(node)
             self._bridges.setdefault(node, {})[group.group_id] = group
             action = "bridge"
         self.engine.log(node, EventClass.GROUP, action=action,
@@ -541,7 +533,7 @@ class LinkLayer:
             raise NotInGroupError(f"group {foreign_group.group_id} no longer exists")
         if foreign_group.group_id == self._owns[go_node].group_id:
             raise InvalidStateError(f"{go_node} owns group {foreign_group.group_id}")
-        if go_node in foreign_group.legacy:
+        if go_node in foreign_group.members:
             raise InvalidStateError(f"{go_node} already attached")
         if not self.topology.in_range(go_node, foreign_group.owner):
             raise OutOfRangeError(
@@ -562,30 +554,26 @@ class LinkLayer:
         self._detach(group, node)
         self.engine.log(node, EventClass.GROUP, action="leave",
                         group=group.group_id)
-        self.upper.link_down(group.owner, node)
-        if not group.members():
+        if not group.members:
             self.dissolve_group(group, reason="empty")
 
     def dissolve_group(self, group: Group, reason: str = "dissolved") -> None:
-        if group.group_id not in self.groups:
-            return
-        for member in sorted(group.members()):
+        """`group` must be live."""
+        for member in sorted(group.members):
             self._detach(group, member)
-            self.upper.link_down(group.owner, member)
         del self.groups[group.group_id]
-        self._owns.pop(group.owner, None)
+        del self._owns[group.owner]
         self.engine.log(group.owner, EventClass.GROUP, action="dissolved",
                         group=group.group_id, reason=reason)
 
     def _detach(self, group: Group, member: NodeId) -> None:
-        group.clients.discard(member)
-        if member in group.legacy:
-            group.legacy.discard(member)
-            self._bridges[member].pop(group.group_id, None)
-        group.addresses.pop(member, None)
-        group.misses.pop(member, None)
+        # a former owner keeps its bridges (the known bug of dissolve_group),
+        # so it may have joined this group as a client too: clear both
+        del group.members[member]
         if self._member_of.get(member) is group:
             del self._member_of[member]
+        self._bridges.get(member, {}).pop(group.group_id, None)
+        self.upper.link_down(group.owner, member)
 
     # ------------------------------------------------------------------
     # keepalive and eviction
@@ -598,17 +586,17 @@ class LinkLayer:
         group = self.groups.get(group_id)
         if group is None:
             return
-        for member in sorted(group.members()):
+        members = group.members
+        for member in sorted(members):
             if self.topology.in_range(group.owner, member):
-                group.misses[member] = 0
+                members[member] = 0
                 continue
-            group.misses[member] = group.misses.get(member, 0) + 1
-            if group.misses[member] >= self.config.keepalive_miss_limit:
+            members[member] += 1
+            if members[member] >= self.config.keepalive_miss_limit:
                 self._detach(group, member)
                 self.engine.log(group.owner, EventClass.GROUP, action="evict",
                                 peer=member, group=group_id)
-                self.upper.link_down(group.owner, member)
-        if not group.members():
+        if not members:
             self.dissolve_group(group, reason="empty")
             return
         self._schedule_keepalive(group_id)
@@ -628,8 +616,9 @@ class LinkLayer:
 
         if dst == BROADCAST:
             if src == owner:
-                recipients = group.members() & self.topology.neighbors(src)
-            elif src in group.clients or src in group.legacy:
+                recipients = group.members.keys() & \
+                    self.topology.neighbors(src)
+            elif src in group.members:
                 recipients = ({owner} if self.topology.in_range(src, owner)
                               else set())
             else:
@@ -642,10 +631,9 @@ class LinkLayer:
             return recipients
 
         if src == owner:
-            legal = dst in group.clients or dst in group.legacy or dst == owner
+            legal = dst in group.members or dst == owner
         else:
-            legal = dst == owner and (src in group.clients
-                                      or src in group.legacy)
+            legal = dst == owner and src in group.members
         if not legal:
             raise self._illegal(frame, group)
         frame.sent_at = self.engine.now()
@@ -658,8 +646,7 @@ class LinkLayer:
         """The error an illegal frame raises: its sender, else its receiver,
         outside the group, else two members that are not the owner."""
         for node in (frame.src, frame.dst):
-            if node != group.owner and node not in group.clients \
-                    and node not in group.legacy:
+            if node != group.owner and node not in group.members:
                 return NotInGroupError(f"{node} not in group {frame.group_id}")
         return ForbiddenByRoleError(
             f"{frame.src}->{frame.dst}: group members may only exchange "
@@ -678,10 +665,8 @@ class LinkLayer:
         group = self.groups.get(frame.group_id)
         src = frame.src
         legal = (group is not None
-                 and (src == group.owner or src in group.clients
-                      or src in group.legacy)
-                 and (dst == group.owner or dst in group.clients
-                      or dst in group.legacy))
+                 and (src == group.owner or src in group.members)
+                 and (dst == group.owner or dst in group.members))
         if not legal or not self.topology.in_range(src, dst):
             self.engine.log(src, EventClass.DROP, reason="lost",
                             dst=dst, group=frame.group_id,
@@ -699,19 +684,16 @@ class LinkLayer:
         explicit raise, so the check also runs under `python -O`."""
         checks = []  # (what is broken if it fails, whether it holds)
         for gid, g in self.groups.items():
-            addrs = list(g.addresses.values())
+            # a member that is not a client of `g` must be bridged into it
             checks += [(f"group {gid}: {what}", ok) for what, ok in [
-                ("owner is a client", g.owner not in g.clients),
+                ("owner is a member", g.owner not in g.members),
                 (f"{g.owner} does not own it", self._owns.get(g.owner) is g),
-                ("owner address is not 1", g.addresses.get(g.owner) == 1),
-                ("duplicate address", len(addrs) == len(set(addrs))),
-                *[(f"client {n} is not its member",
-                   self._member_of.get(n) is g) for n in sorted(g.clients)],
                 *[(f"bridged {n} is not an owner with a bridge to it",
                    n in self._owns and gid in self._bridges.get(n, ()))
-                  for n in sorted(g.legacy)]]]
+                  for n in sorted(g.members)
+                  if self._member_of.get(n) is not g]]]
         checks += [(f"client {n}: group {g.group_id} is gone or lacks it",
-                    self.groups.get(g.group_id) is g and n in g.clients)
+                    self.groups.get(g.group_id) is g and n in g.members)
                    for n, g in self._member_of.items()]
         checks += [(f"owner {n}: group {g.group_id} is gone or not its",
                     self.groups.get(g.group_id) is g and g.owner == n)

@@ -7,7 +7,7 @@ comparisons use squared distances so no square root enters the decision.
 Neighbor sets are maintained on add and move, so a range query is a set
 lookup and a move updates only the sets of the peers it left or reached.
 A query for a pair in range is that one lookup; the id checks run only
-when it misses.
+when it fails.
 """
 
 from __future__ import annotations

@@ -97,7 +97,7 @@ def peers(linklayer, node):
     result = set()
     for group in linklayer.contexts(node):
         if group.owner == node:
-            result |= group.members()
+            result.update(group.members)
         else:
             result.add(group.owner)
     return result
@@ -108,7 +108,7 @@ def deliverable_pairs(linklayer):
     group's owner with each of its members."""
     return {tuple(sorted((group.owner, member)))
             for group in linklayer.groups.values()
-            for member in group.members()}
+            for member in group.members}
 
 
 def make_link_world(positions, intents=None, seed=1, config=None,

@@ -148,6 +148,17 @@ def test_probe_match_needs_same_channel():
     assert ll.discovered("a") == set()
 
 
+def test_a_probe_whose_peer_moved_away_finds_nothing():
+    engine, ll, sa, sb = probe_world()
+    sa.leg_state = DeviceState.FIND_SEARCH
+    sb.leg_state = DeviceState.FIND_LISTEN
+    ll._check_probe_matches(sa)
+    ll.topology.apply_move("b", Position(10_000, 0))
+    engine.run_until(1 * SECOND)
+    assert ll.discovered("a") == set()
+    ll.check_consistency()
+
+
 def test_probe_match_needs_minimum_overlap():
     engine, ll, sa, sb = probe_world()
     sa.leg_state = DeviceState.FIND_SEARCH
@@ -156,6 +167,23 @@ def test_probe_match_needs_minimum_overlap():
     ll._check_probe_matches(sa)
     engine.run_until(1 * SECOND)
     assert ll.discovered("a") == set()
+
+
+def test_a_probe_that_fires_as_its_leg_ends_finds_nothing():
+    # every leg lasts exactly the minimum overlap, so each probe fires at
+    # the instant its own leg ends; the leg's end was scheduled first, so
+    # the probe always finds a changed leg and discards itself
+    engine, _, ll = make_link_world(
+        {"a": (0, 0), "b": (100, 0)},
+        config=LinkConfig(find_min_us=20 * MS, find_max_us=20 * MS,
+                          overlap_min_us=20 * MS))
+    ll.start_discovery("a")
+    ll.start_discovery("b")
+    engine.run_until(11 * SECOND)
+    assert ll.discovered("a") == set()
+    assert [r.node for r in trace_records(engine.trace, EventClass.DISCOVERY,
+                                          "timeout")] == ["a", "b"]
+    ll.check_consistency()
 
 
 def test_out_of_range_pair_never_discovers():
@@ -237,6 +265,35 @@ def test_pair_drifting_apart_during_wps_fails_through_done():
     ll.check_consistency()
 
 
+# the responder moves away just before the message of each step arrives:
+# request at 2 ms, response at 4 ms, confirmation at 6 ms
+@pytest.mark.parametrize("moved_at_us, traced", [
+    (1 * MS, []),
+    (3 * MS, ["request"]),
+    (5 * MS, ["request", "response"]),
+])
+def test_negotiation_fails_at_the_step_whose_pair_is_out_of_range(
+        moved_at_us, traced):
+    engine, topo, ll = make_link_world({"a": (0, 0), "b": (100, 0)},
+                                       intents={"a": 7, "b": 3})
+    done = []
+    ll.record_discovery("a", "b")
+    ll.negotiate_go("a", "b", done.append)
+    engine.run_until(moved_at_us)
+    topo.apply_move("b", Position(1000, 0))
+    engine.run_until(2 * SECOND)
+    assert done == ["out_of_range"]
+    actions = [(r.node, r.details["action"], r.details.get("reason"))
+               for r in trace_records(engine.trace, EventClass.NEGOTIATION)]
+    assert [a for _, a, _ in actions[:-2]] == traced
+    assert actions[-2:] == [("a", "failed", "out_of_range"),
+                            ("b", "failed", "out_of_range")]
+    assert ll.state("a") is DeviceState.IDLE
+    assert ll.state("b") is DeviceState.IDLE
+    assert not ll.groups
+    ll.check_consistency()
+
+
 def test_go_intent_range_validated():
     _, _, ll = make_link_world({})
     with pytest.raises(ValueError, match="outside 0..15"):
@@ -262,7 +319,7 @@ def corrupted_consistency_message():
     group = form_pair(engine, ll, "go", "c1")
     ll._owns["c1"] = group
     ll._negotiating.add("go")
-    group.addresses["c1"] = 1
+    group.members["ghost"] = 0  # a member with neither a client nor a bridge
     with pytest.raises(AssertionError) as failure:
         ll.check_consistency()
     return str(failure.value)
@@ -270,8 +327,21 @@ def corrupted_consistency_message():
 
 def test_check_consistency_names_every_broken_invariant():
     assert corrupted_consistency_message() == (
-        "group 1: duplicate address; owner c1: group 1 is gone or not its; "
+        "group 1: bridged ghost is not an owner with a bridge to it; "
+        "owner c1: group 1 is gone or not its; "
         "c1 owns a group and is a client; go negotiates while in a group")
+
+
+def test_check_consistency_names_an_owner_in_its_own_member_map():
+    engine, _, ll = make_link_world({"go": (0, 0), "c1": (100, 0)},
+                                    intents={"go": 12, "c1": 2})
+    group = form_pair(engine, ll, "go", "c1")
+    group.members["go"] = 0
+    with pytest.raises(AssertionError) as failure:
+        ll.check_consistency()
+    assert str(failure.value) == (
+        "group 1: owner is a member; "
+        "group 1: bridged go is not an owner with a bridge to it")
 
 
 def test_check_consistency_runs_under_python_optimize():
@@ -287,9 +357,10 @@ def test_check_consistency_runs_under_python_optimize():
 
 def test_owner_holds_address_one_clients_sequential():
     engine, _, ll, group = trio()
-    assert group.addresses["go"] == 1
-    assert group.addresses["c1"] == 2
     assert ll.join_group("c2", group) == 3
+    joins = trace_records(engine.trace, EventClass.GROUP, "join")
+    assert [(r.node, r.details["addr"]) for r in joins] == [("c1", "2"),
+                                                           ("c2", "3")]
     ll.check_consistency()
 
 
@@ -307,7 +378,8 @@ def test_a_node_in_discovery_cannot_join():
     with pytest.raises(InvalidStateError, match="cannot join from SCAN"):
         ll.join_group("c2", group)
     assert ll.state("c2") is DeviceState.SCAN
-    assert group.clients == {"c1"}
+    assert set(group.members) == {"c1"}
+    assert ll.client_group("c1") is group
 
 
 def test_join_out_of_range_owner_rejected():
@@ -333,7 +405,18 @@ def test_client_leaving_keeps_group():
     ll.leave_group("c1")
     assert ll.state("c1") is DeviceState.IDLE
     assert group.group_id in ll.groups
-    assert group.clients == {"c2"}
+    assert set(group.members) == {"c2"}
+    assert ll.client_group("c2") is group
+
+
+def test_keepalive_of_a_group_its_owner_dissolved_does_nothing():
+    engine, _, ll, group = trio()
+    ll.leave_group("go")
+    records = len(engine.trace.lines())
+    engine.run_until(engine.now() + 5 * SECOND)  # past its next keepalive
+    assert len(engine.trace.lines()) == records
+    assert not ll.groups
+    ll.check_consistency()
 
 
 def test_mobility_evicts_client_after_three_missed_keepalives():
@@ -446,10 +529,44 @@ def two_groups():
 
 def test_bridge_creates_owner_to_owner_edge():
     engine, _, ll, g1, g2 = two_groups()
-    ll.bridge_attach("b1", g2)
+    assert ll.bridge_attach("b1", g2) == 3  # g2's next address after a2
+    bridges = trace_records(engine.trace, EventClass.GROUP, "bridge")
+    assert [(r.node, r.details["owner"], r.details["addr"])
+            for r in bridges] == [("b1", "b2", "3")]
     assert ("b1", "b2") in deliverable_pairs(ll)
     recipients = ll.deliver_frame(Frame("b1", "b2", g2.group_id, 100, None))
     assert recipients == {"b2"}
+    ll.check_consistency()
+
+
+def test_each_refused_call_names_its_fault():
+    engine, topo, ll, g1, g2 = two_groups()
+    ll.bridge_attach("b1", g2)
+    for node, x in (("x", 0), ("y", 50), ("z", 100)):
+        topo.add_node(node, Position(x, 500))
+        ll.register_node(node)
+    ll.record_discovery("x", "y")
+    ll.record_discovery("x", "z")
+    ll.negotiate_go("x", "y")
+    cases = [
+        (lambda: ll.register_node("a1"), ValueError, "already registered"),
+        (lambda: ll.register_node("w", 7, 2), ValueError,
+         "not a social channel"),
+        (lambda: ll.state("ghost"), KeyError, "ghost"),
+        (lambda: ll.negotiate_go("a1", "b1"), InvalidStateError,
+         "a1 is already in a group"),
+        (lambda: ll.negotiate_go("z", "x"), InvalidStateError,
+         "x is already negotiating"),
+        (lambda: ll.bridge_attach("b1", g1), InvalidStateError,
+         "b1 owns group 1"),
+        (lambda: ll.bridge_attach("b1", g2), InvalidStateError,
+         "b1 already attached"),
+        (lambda: ll.leave_group("z"), NotInGroupError,
+         "z is not in a group"),
+    ]
+    for call, error, match in cases:
+        with pytest.raises(error, match=match):
+            call()
     ll.check_consistency()
 
 

@@ -261,11 +261,15 @@ def test_cli_run_rejects_bad_until_with_one_error_line(until):
     (b"garbage\n", "line 1: fewer than three fields: 'garbage'"),
     (b"5 n1 DELIVER src=n1 app_seq=0\n\n10 n1 FORWARD src=n1\n",
      "line 3: no 'app_seq' field: '10 n1 FORWARD src=n1'"),
-    # a byte that is not UTF-8 names no line: the file is decoded ahead of
-    # the lines the summary has parsed
+    # a byte that is not UTF-8 is named by its line and its position in it
     (b"5 n1 DELIVER src=n1 app_seq=0\n\xff\n",
-     "'utf-8' codec can't decode byte 0xff in position 30: invalid start "
-     "byte"),
+     "line 2: 'utf-8' codec can't decode byte 0xff in position 0: invalid "
+     "start byte"),
+    # ... also past the first 8 KB of the file
+    pytest.param(b"".join(b"%d n1 DELIVER src=n1 app_seq=%d\n" % (i, i)
+                          for i in range(3000)) + b"9 n1 \xff\n",
+                 "line 3001: 'utf-8' codec can't decode byte 0xff in "
+                 "position 5: invalid start byte", id="0xff-on-line-3001"),
 ])
 def test_cli_replay_rejects_a_malformed_trace_with_one_error_line(
         tmp_path, text, where):

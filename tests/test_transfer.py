@@ -53,7 +53,8 @@ def test_connect_idle_node_to_existing_owner_joins():
                            (3, "connect", "c2", "go")])
     sim.run_until(5 * SECOND)
     group = sim.linklayer.owned_group("go")
-    assert group.clients == {"c1", "c2"}
+    assert set(group.members) == {"c1", "c2"}
+    assert all(sim.linklayer.client_group(n) is group for n in ("c1", "c2"))
     assert sim.linklayer.state("c2") is DeviceState.GROUP_CLIENT
 
 
@@ -62,7 +63,9 @@ def test_connect_owner_to_idle_node_joins_the_peer():
                    script=[(0, "connect", "c1", "go"),
                            (3, "connect", "go", "c2")])
     sim.run_until(5 * SECOND)
-    assert sim.linklayer.owned_group("go").clients == {"c1", "c2"}
+    group = sim.linklayer.owned_group("go")
+    assert set(group.members) == {"c1", "c2"}
+    assert all(sim.linklayer.client_group(n) is group for n in ("c1", "c2"))
 
 
 def test_connect_client_to_foreign_node_is_role_conflict():
@@ -219,6 +222,30 @@ CONNECT_CASES = {
         lambda: make_sim([("a", 0, 0, 9), ("z", 5000, 0, 1)],
                          [(0, "connect", "a", "z")], duration_s=1),
         ["0 a CONNECT action=failed peer=z reason=OutOfRangeError"]),
+    # the second bridge is requested, and refused once WPS is done
+    "bridge_twice": (
+        lambda: make_sim(BRIDGE_NODES,
+                         GROUP_CONNECTS + [(4, "bridge", "a", "c"),
+                                           (5, "bridge", "a", "c")],
+                         duration_s=8),
+        ["0 b CONNECT action=request peer=a",
+         "0 d CONNECT action=request peer=c",
+         "726000 b CONNECT action=up peer=a",
+         "1023765 d CONNECT action=up peer=c",
+         "4000000 a CONNECT action=request peer=c",
+         "4200000 a CONNECT action=up peer=c",
+         "5000000 a CONNECT action=request peer=c",
+         "5200000 a CONNECT action=failed peer=c reason=InvalidStateError"]),
+    # a client and its own owner are already linked, from either end: up
+    # at once, with no request
+    "client_to_own_owner": (
+        lambda: make_sim([("a", 0, 0, 12), ("b", 100, 0, 2)],
+                         [(0, "connect", "b", "a"), (3, "connect", "b", "a"),
+                          (4, "connect", "a", "b")], duration_s=5),
+        ["0 b CONNECT action=request peer=a",
+         "726000 b CONNECT action=up peer=a",
+         "3000000 b CONNECT action=up peer=a",
+         "4000000 a CONNECT action=up peer=b"]),
     # the bridge is requested, and fails once WPS is done
     "bridging_off": (
         lambda: make_sim(BRIDGE_NODES,
@@ -242,6 +269,33 @@ def test_each_way_a_connect_ends_is_traced(case):
     sim.run()
     assert connect_lines(sim) == lines
     assert connect_ends(sim.trace)[2] == []  # every request ended
+
+
+@pytest.mark.parametrize("local, peer, leaver", [
+    ("c2", "go", "go"),    # a join whose owner leaves during WPS
+    ("b1", "b2", "a2"),    # a bridge whose group empties during WPS
+])
+def test_a_join_or_bridge_into_a_group_dissolved_during_wps_fails(
+        local, peer, leaver):
+    sim = make_sim([("go", 0, 0, 14), ("c1", -75, 0, 2), ("c2", 75, 0, 3),
+                    ("b1", 0, 150, 12), ("a1", 0, 250, 2),
+                    ("b2", 150, 150, 13), ("a2", 150, 250, 3)],
+                   script=[(0, "connect", "c1", "go"),
+                           (0, "connect", "a1", "b1"),
+                           (0, "connect", "a2", "b2")], duration_s=6)
+    sim.run_until(3 * SECOND)
+    group = sim.linklayer.owned_group(peer)
+    sim.transfer.connect(local, peer)
+    sim.run_until(3 * SECOND + 100 * MS)  # WPS ends at 3.2 s
+    sim.linklayer.leave_group(leaver)
+    assert group.group_id not in sim.linklayer.groups
+    sim.run()
+    assert connect_lines(sim)[-2:] == [
+        f"3000000 {local} CONNECT action=request peer={peer}",
+        f"3200000 {local} CONNECT action=failed peer={peer} "
+        f"reason=NotInGroupError"]
+    assert sim.linklayer.unicast_group(local, peer) is None
+    sim.linklayer.check_consistency()
 
 
 def test_a_connect_whose_client_is_joining_elsewhere_still_ends():
