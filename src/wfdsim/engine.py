@@ -17,14 +17,14 @@ one; the last event is kept as two ints, so the check builds no tuple.
 
 The trace is write-only for the simulator: layers emit records into it,
 and it is read back only as text: by the summary (`summary.build_summary`)
-and, from a written trace file, by `wfdsim replay`.  A record is formatted
-after the loop, the first time the trace is read.  Each value is formatted
-by its exact type first: a `str` as it is and an `int` in decimal, both
-written into the line directly, then a list or tuple element by element
-joined with commas.  Anything else (a `bool`, a `float`, an `Enum`, a
-subclass) goes through `isinstance` tests: `1`/`0`, `format(v, "g")`, the
-member's value, or `str()`.  An `Enum`'s text, the record's class too, is
-read from `_value_`, which skips the `value` property's descriptor call.
+and, from a written trace file, by `wfdsim replay`.  A record is the tuple
+``(fmt, time_us, node, *values)``.  `fmt` is the record kind's one fixed
+format, a module constant that `record_format` builds from its
+`EventClass` and field names; the emitting site passes each value ready
+to print: text and integers as they are written, `full` as a `bool`
+printed `0`/`1` through `{:d}`, costs as floats printed through `{:g}`,
+and lists comma-joined.  A record is formatted after the loop, the first
+time the trace is read, by one `str.format` call.
 """
 
 from __future__ import annotations
@@ -55,36 +55,16 @@ class EventClass(Enum):
     CONNECT = "CONNECT"
 
 
-def _format_value(value: Any) -> str:
-    kind = type(value)
-    if kind is str:
-        return value
-    if kind is int:
-        return str(value)
-    if kind is list or kind is tuple:
-        return ",".join(map(_format_value, value))
-    # bool, float, Enum and subclasses: by isinstance
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, Enum):
-        return str(value._value_)
-    if isinstance(value, float):
-        return format(value, "g")
-    if isinstance(value, (list, tuple)):
-        return ",".join(map(_format_value, value))
-    return str(value)
-
-
-def _line(record: tuple) -> str:
-    time_us, node, event_class, details = record
-    line = f"{time_us} {node} {event_class._value_}"
-    for key, value in details.items():
-        kind = type(value)
-        if kind is str or kind is int:
-            line += f" {key}={value}"
-        else:
-            line += f" {key}={_format_value(value)}"
-    return line
+def record_format(event_class: EventClass, *fields: str) -> str:
+    """The format of one kind of trace record, ``{} {} CLASS`` for the time
+    and node, then one term per field: a ``key=text`` field is written as
+    it is, a ``key`` takes the next value through ``{}``, and a
+    ``key:spec`` through ``{:spec}``."""
+    terms = ["{} {}", event_class._value_]
+    for field in fields:
+        key, colon, spec = field.partition(":")
+        terms.append(field if "=" in field else f"{key}={{{colon}{spec}}}")
+    return " ".join(terms)
 
 
 class Trace:
@@ -92,11 +72,11 @@ class Trace:
 
     The serialized form is one record per line:
     ``time_us node EVENT_CLASS key=value ...``
-    with keys in the order the emitting site listed them.  Records appear
+    with keys in the order the record's format lists them.  Records appear
     in (time, seq) order because they are emitted from in-order event
     processing.  A record is held in one form at a time: it is a
-    ``(time_us, node, event_class, details)`` tuple until the trace is
-    next read, and its formatted line after that.
+    ``(fmt, time_us, node, *values)`` tuple until the trace is next read,
+    and its formatted line after that.
     """
 
     def __init__(self) -> None:
@@ -106,7 +86,7 @@ class Trace:
 
     def _formatted(self) -> list[str]:
         if self._pending:
-            self._lines += map(_line, self._pending)
+            self._lines += itertools.starmap(str.format, self._pending)
             self._pending.clear()
         return self._lines
 
@@ -118,8 +98,7 @@ class Trace:
         return iter(self._formatted())
 
     def dump(self) -> str:
-        lines = self._formatted()
-        return "\n".join(lines) + "\n" if lines else ""
+        return "\n".join([*self._formatted(), ""])
 
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -221,6 +200,7 @@ class Engine:
         self.steps += steps
         return steps
 
-    def log(self, node: NodeId, event_class: EventClass, **details: Any) -> None:
-        self.trace.emit((self._now, node, event_class, details))
+    def log(self, fmt: str, node: NodeId, *values: Any) -> None:
+        """Trace a record of the kind `fmt` (see `record_format`)."""
+        self.trace.emit((fmt, self._now, node, *values))
 

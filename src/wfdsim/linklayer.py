@@ -45,12 +45,40 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .engine import MS, SECOND, Engine, EventClass, NodeId, uniform_duration
+from .engine import (MS, SECOND, Engine, EventClass, NodeId, record_format,
+                     uniform_duration)
 from .record import Record
 from .topology import Topology
 
 BROADCAST: NodeId = "*"
 SOCIAL_CHANNELS = (1, 6, 11)
+
+# the format of each kind of trace record this layer writes
+_FOUND = record_format(EventClass.DISCOVERY, "action=found", "peer")
+_LEG = record_format(EventClass.DISCOVERY, "action=leg", "state", "chan",
+                     "dur_us")
+_START = record_format(EventClass.DISCOVERY, "action=start", "target")
+_TIMEOUT = record_format(EventClass.DISCOVERY, "action=timeout")
+_NEGO_FAILED = record_format(EventClass.NEGOTIATION, "action=failed", "reason")
+_NEGO_REQUEST = record_format(EventClass.NEGOTIATION, "action=request", "peer",
+                              "intent", "tie")
+_NEGO_RESPONSE = record_format(EventClass.NEGOTIATION, "action=response",
+                               "peer", "intent")
+_NEGO_CONFIRM = record_format(EventClass.NEGOTIATION, "action=confirm", "peer",
+                              "owner")
+_FORMED = record_format(EventClass.GROUP, "action=formed", "group", "channel")
+_JOIN = record_format(EventClass.GROUP, "action=join", "group", "owner",
+                      "addr")
+_BRIDGE = record_format(EventClass.GROUP, "action=bridge", "group", "owner",
+                        "addr")
+_LEAVE = record_format(EventClass.GROUP, "action=leave", "group")
+_DISSOLVED = record_format(EventClass.GROUP, "action=dissolved", "group",
+                           "reason")
+_EVICT = record_format(EventClass.GROUP, "action=evict", "peer", "group")
+_LOST = record_format(EventClass.DROP, "reason=lost", "dst", "group",
+                      "size_bits")
+_LOST_APP_SEQ = record_format(EventClass.DROP, "reason=lost", "dst", "group",
+                              "size_bits", "app_seq")
 
 
 class LinkError(Exception):
@@ -155,10 +183,10 @@ class LinkEvents:
         """`frame` from `src` did not reach `dst`: out of range, or no
         longer role-legal, when it arrived."""
 
-    def loss_fields(self, payload: object) -> dict:
-        """Trace fields that name a lost frame's payload in its `DROP`
-        record: none here."""
-        return {}
+    def lost_app_seq(self, payload: object) -> int | None:
+        """The `app_seq` that a lost frame's `DROP` record names, or None
+        for a record that names none: None here."""
+        return None
 
     def link_up(self, owner: NodeId, member: NodeId) -> None:
         """`member` joined or bridged into `owner`'s group."""
@@ -296,8 +324,7 @@ class LinkLayer:
         rng = self.engine.node_rng(node)
         session.listen_channel = rng.choice(SOCIAL_CHANNELS)
         self._sessions[node] = session
-        self.engine.log(node, EventClass.DISCOVERY, action="start",
-                        target=target or "-")
+        self.engine.log(_START, node, target or "-")
         # a drawn first leg keeps simultaneous starters out of lockstep
         session.events.append(self.engine.call_later(
             self.config.scan_us, self._begin_find_leg, session,
@@ -323,9 +350,8 @@ class LinkLayer:
         now = self.engine.now()
         session.leg_start = now
         session.leg_end = now + duration
-        self.engine.log(session.node, EventClass.DISCOVERY, action="leg",
-                        state=leg_state.value.lower(),
-                        chan=session.leg_channel, dur_us=duration)
+        self.engine.log(_LEG, session.node, leg_state.value.lower(),
+                        session.leg_channel, duration)
         session.events.append(self.engine.call_later(
             duration, self._begin_find_leg, session,
             DeviceState.FIND_LISTEN if leg_state is DeviceState.FIND_SEARCH
@@ -368,8 +394,8 @@ class LinkLayer:
         """Mark mutual discovery of a and b (ids and GO intents exchanged)."""
         self._discovered[a].add(b)
         self._discovered[b].add(a)
-        self.engine.log(a, EventClass.DISCOVERY, action="found", peer=b)
-        self.engine.log(b, EventClass.DISCOVERY, action="found", peer=a)
+        self.engine.log(_FOUND, a, b)
+        self.engine.log(_FOUND, b, a)
         for node in (a, b):
             session = self._sessions.get(node)
             if session is None:
@@ -382,7 +408,7 @@ class LinkLayer:
     def _discovery_timeout(self, session: _DiscoverySession) -> None:
         node = session.node
         self._end_session(session)
-        self.engine.log(node, EventClass.DISCOVERY, action="timeout")
+        self.engine.log(_TIMEOUT, node)
         if session.on_timeout is not None:
             session.on_timeout(node)
 
@@ -422,8 +448,7 @@ class LinkLayer:
                      done) -> None:
         for node in (initiator, responder):
             self._negotiating.discard(node)
-            self.engine.log(node, EventClass.NEGOTIATION, action="failed",
-                            reason=reason)
+            self.engine.log(_NEGO_FAILED, node, reason)
         if done is not None:
             done(reason)
 
@@ -431,8 +456,7 @@ class LinkLayer:
         if not self.topology.in_range(initiator, responder):
             self._nego_failed(initiator, responder, "out_of_range", done)
             return
-        self.engine.log(responder, EventClass.NEGOTIATION, action="request",
-                        peer=initiator, intent=intent, tie=tie)
+        self.engine.log(_NEGO_REQUEST, responder, initiator, intent, tie)
         resp_intent = self._intents[responder]
         mac = self.topology.profile(responder).per_hop_mac_latency_us
         if intent == 15 and resp_intent == 15:
@@ -448,8 +472,7 @@ class LinkLayer:
         if not self.topology.in_range(initiator, responder):
             self._nego_failed(initiator, responder, "out_of_range", done)
             return
-        self.engine.log(initiator, EventClass.NEGOTIATION, action="response",
-                        peer=responder, intent=resp_intent)
+        self.engine.log(_NEGO_RESPONSE, initiator, responder, resp_intent)
         if intent > resp_intent:
             owner = initiator
         elif resp_intent > intent:
@@ -464,8 +487,7 @@ class LinkLayer:
         if not self.topology.in_range(initiator, responder):
             self._nego_failed(initiator, responder, "out_of_range", done)
             return
-        self.engine.log(responder, EventClass.NEGOTIATION, action="confirm",
-                        peer=initiator, owner=owner)
+        self.engine.log(_NEGO_CONFIRM, responder, initiator, owner)
         # WPS authentication modelled as a fixed delay, then addressing
         self.engine.call_later(self.config.wps_us, self._form_group,
                                initiator, responder, owner, done)
@@ -483,8 +505,7 @@ class LinkLayer:
         self._next_group_id += 1
         self.groups[group.group_id] = group
         self._owns[owner] = group
-        self.engine.log(owner, EventClass.GROUP, action="formed",
-                        group=group.group_id, channel=channel)
+        self.engine.log(_FORMED, owner, group.group_id, channel)
         self._admit(group, client, kind="client")
         self._schedule_keepalive(group.group_id)
         if done is not None:
@@ -499,12 +520,11 @@ class LinkLayer:
         group.members[node] = 0
         if kind == "client":
             self._member_of[node] = group
-            action = "join"
+            fmt = _JOIN
         else:
             self._bridges.setdefault(node, {})[group.group_id] = group
-            action = "bridge"
-        self.engine.log(node, EventClass.GROUP, action=action,
-                        group=group.group_id, owner=group.owner, addr=addr)
+            fmt = _BRIDGE
+        self.engine.log(fmt, node, group.group_id, group.owner, addr)
         self.upper.link_up(group.owner, node)
         return addr
 
@@ -552,8 +572,7 @@ class LinkLayer:
         if group is None:
             raise NotInGroupError(f"{node} is not in a group")
         self._detach(group, node)
-        self.engine.log(node, EventClass.GROUP, action="leave",
-                        group=group.group_id)
+        self.engine.log(_LEAVE, node, group.group_id)
         if not group.members:
             self.dissolve_group(group, reason="empty")
 
@@ -563,8 +582,7 @@ class LinkLayer:
             self._detach(group, member)
         del self.groups[group.group_id]
         del self._owns[group.owner]
-        self.engine.log(group.owner, EventClass.GROUP, action="dissolved",
-                        group=group.group_id, reason=reason)
+        self.engine.log(_DISSOLVED, group.owner, group.group_id, reason)
 
     def _detach(self, group: Group, member: NodeId) -> None:
         # a former owner keeps its bridges (the known bug of dissolve_group),
@@ -594,8 +612,7 @@ class LinkLayer:
             members[member] += 1
             if members[member] >= self.config.keepalive_miss_limit:
                 self._detach(group, member)
-                self.engine.log(group.owner, EventClass.GROUP, action="evict",
-                                peer=member, group=group_id)
+                self.engine.log(_EVICT, group.owner, member, group_id)
         if not members:
             self.dissolve_group(group, reason="empty")
             return
@@ -668,10 +685,13 @@ class LinkLayer:
                  and (src == group.owner or src in group.members)
                  and (dst == group.owner or dst in group.members))
         if not legal or not self.topology.in_range(src, dst):
-            self.engine.log(src, EventClass.DROP, reason="lost",
-                            dst=dst, group=frame.group_id,
-                            size_bits=frame.size_bits,
-                            **self.upper.loss_fields(frame.payload))
+            app_seq = self.upper.lost_app_seq(frame.payload)
+            if app_seq is None:
+                self.engine.log(_LOST, src, dst, frame.group_id,
+                                frame.size_bits)
+            else:
+                self.engine.log(_LOST_APP_SEQ, src, dst, frame.group_id,
+                                frame.size_bits, app_seq)
             self.upper.frame_lost(src, dst, frame)
             return
         self.upper._on_frame(dst, frame)

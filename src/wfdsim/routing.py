@@ -46,11 +46,25 @@ from enum import Enum
 from functools import partial
 from typing import NamedTuple
 
-from .engine import Engine, EventClass, NodeId
+from .engine import Engine, EventClass, NodeId, record_format
 from .record import Record
 
 INFINITE_HOPS = 1 << 16
 CONTROL_FRAME_BITS = 1024  # wire size of discovery/advert frames
+
+# the format of each kind of trace record this layer writes
+_REQ = record_format(EventClass.DISCOVERY, "action=req", "reached")
+_RESP = record_format(EventClass.DISCOVERY, "action=resp", "peer", "seq",
+                      "lat_us", "energy:g", "changed")
+_TX = record_format(EventClass.ADVERT, "action=tx", "full:d", "n", "cost:g",
+                    "entries")
+_RX = record_format(EventClass.ADVERT, "action=rx", "sender", "changed")
+_TTL_EXPIRED = record_format(EventClass.DROP, "reason=ttl_expired", "src",
+                             "dst", "app_seq")
+_NO_ROUTE = record_format(EventClass.DROP, "reason=no_route", "src", "dst",
+                          "app_seq")
+_FORWARD = record_format(EventClass.FORWARD, "src", "dst", "app_seq", "ttl",
+                         "next", "cls", "bits")
 
 
 class RoutingError(Exception):
@@ -402,8 +416,7 @@ class RoutingAgent:
     def broadcast_discovery_request(self) -> None:
         msg = DiscoveryRequest(self.node, self.engine.now())
         recipients = self.transfer.broadcast_control(self.node, msg)
-        self.engine.log(self.node, EventClass.DISCOVERY, action="req",
-                        reached=len(recipients))
+        self.engine.log(_REQ, self.node, len(recipients))
 
     def _on_discovery_request(self, msg: DiscoveryRequest) -> None:
         # answering is an announcement of self: bump the even sequence so a
@@ -431,10 +444,9 @@ class RoutingAgent:
         self_entry = AdvertEntry(resp.sender, resp.seq_no, 0, 0, 0.0)
         advert = TableAdvert(resp.sender, resp.energy_cost, [self_entry], False)
         changed = merge_advert(self.table, advert, link, now)
-        self.engine.log(self.node, EventClass.DISCOVERY, action="resp",
-                        peer=resp.sender, seq=resp.seq_no,
-                        lat_us=link.latency_us, energy=resp.energy_cost,
-                        changed=sorted(changed) or "-")
+        self.engine.log(_RESP, self.node, resp.sender, resp.seq_no,
+                        link.latency_us, resp.energy_cost,
+                        ",".join(sorted(changed)) or "-")
 
     # ------------------------------------------------------------------
     # periodic table adverts
@@ -456,10 +468,8 @@ class RoutingAgent:
         if not recipients:
             return  # nobody heard it; keep the dirty set for the next tick
         self.table.dirty.clear()
-        self.engine.log(self.node, EventClass.ADVERT, action="tx",
-                        full=advert.full_dump, n=len(advert.entries),
-                        cost=self.energy_cost,
-                        entries=",".join(wires) or "-")
+        self.engine.log(_TX, self.node, advert.full_dump, len(advert.entries),
+                        self.energy_cost, ",".join(wires) or "-")
 
     def _advert_entries(self, dests) -> tuple[list[AdvertEntry], list[str]]:
         """The advertised primary route to each destination, and its wire
@@ -509,8 +519,8 @@ class RoutingAgent:
         merge = merge_full_dump if advert.full_dump else merge_advert
         changed = merge(self.table, advert, link, now)
         if changed:
-            self.engine.log(self.node, EventClass.ADVERT, action="rx",
-                            sender=advert.sender, changed=sorted(changed))
+            self.engine.log(_RX, self.node, advert.sender,
+                            ",".join(sorted(changed)))
 
     # ------------------------------------------------------------------
     # invalidation
@@ -556,21 +566,20 @@ class RoutingAgent:
             return
         pkt.ttl -= 1
         if pkt.ttl <= 0:
-            self.engine.log(self.node, EventClass.DROP, reason="ttl_expired",
-                            src=pkt.src, dst=pkt.dst, app_seq=pkt.app_seq)
+            self.engine.log(_TTL_EXPIRED, self.node, pkt.src, pkt.dst,
+                            pkt.app_seq)
             self.transfer.notify_drop(pkt.app_seq, "ttl_expired")
             return
         try:
             next_hop = self.select_route(pkt.dst, pkt.traffic_class)
         except NoRouteError:
-            self.engine.log(self.node, EventClass.DROP, reason="no_route",
-                            src=pkt.src, dst=pkt.dst, app_seq=pkt.app_seq)
+            self.engine.log(_NO_ROUTE, self.node, pkt.src, pkt.dst,
+                            pkt.app_seq)
             self.transfer.notify_drop(pkt.app_seq, "no_route")
             return
-        self.engine.log(self.node, EventClass.FORWARD, src=pkt.src,
-                        dst=pkt.dst, app_seq=pkt.app_seq, ttl=pkt.ttl,
-                        next=next_hop, cls=pkt.traffic_class,
-                        bits=pkt.payload_bits)
+        self.engine.log(_FORWARD, self.node, pkt.src, pkt.dst, pkt.app_seq,
+                        pkt.ttl, next_hop, pkt.traffic_class._value_,
+                        pkt.payload_bits)
         pkt.path.append(self.node)
         self.transfer.send_data(self.node, pkt, next_hop)
 

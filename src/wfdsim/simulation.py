@@ -10,7 +10,7 @@ retry every 500 ms until they apply or the run ends.  The transfer layer's
 
 from __future__ import annotations
 
-from .engine import MS, Engine, EventClass, NodeId
+from .engine import MS, Engine, EventClass, NodeId, record_format
 from .linklayer import (DeviceState, LinkError, LinkLayer, InvalidStateError)
 from .routing import RoutingAgent
 from .scenario import Scenario, ScriptDirective, load_scenario
@@ -19,6 +19,7 @@ from .topology import Topology
 from .transfer import TransferLayer
 
 DIRECTIVE_RETRY_US = 500 * MS
+_RETRY = record_format(EventClass.CONNECT, "action=retry", "peer", "what")
 
 
 class Simulation:
@@ -73,8 +74,7 @@ class Simulation:
         except InvalidStateError:
             if self.engine.now() + DIRECTIVE_RETRY_US \
                     <= self.scenario.sim.duration_us:
-                self.engine.log(node, EventClass.CONNECT, action="retry",
-                                peer=peer, what=directive.action)
+                self.engine.log(_RETRY, node, peer, directive.action)
                 self.engine.call_later(DIRECTIVE_RETRY_US,
                                        self._run_directive, directive)
             else:

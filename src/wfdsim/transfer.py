@@ -31,10 +31,20 @@ from __future__ import annotations
 from enum import Enum
 from functools import partial
 
-from .engine import Engine, EventClass, NodeId
+from .engine import Engine, EventClass, NodeId, record_format
 from .linklayer import (BROADCAST, DeviceState, Frame, InvalidStateError,
                         LinkError, LinkEvents, LinkLayer, OutOfRangeError)
 from .routing import (CONTROL_FRAME_BITS, Packet, RoutingAgent, TrafficClass)
+
+# the format of each kind of trace record this layer writes
+_REQUEST = record_format(EventClass.CONNECT, "action=request", "peer")
+_UP = record_format(EventClass.CONNECT, "action=up", "peer")
+_FAILED = record_format(EventClass.CONNECT, "action=failed", "peer", "reason")
+_NO_LINK = record_format(EventClass.DROP, "reason=lost", "dst",
+                         "detail=no_link")
+_NO_LINK_APP_SEQ = record_format(EventClass.DROP, "reason=lost", "dst",
+                                 "detail=no_link", "app_seq")
+_DELIVER = record_format(EventClass.DELIVER, "src", "app_seq", "cls", "bits")
 
 
 class RoleConflictError(LinkError):
@@ -110,7 +120,7 @@ class TransferLayer(LinkEvents):
         if {ls, ps} - {DeviceState.IDLE, DeviceState.GROUP_OWNER}:
             raise InvalidStateError(f"{local} or {peer} is busy")
 
-        self.engine.log(local, EventClass.CONNECT, action="request", peer=peer)
+        self.engine.log(_REQUEST, local, peer)
 
         if ls is DeviceState.GROUP_OWNER and ps is DeviceState.GROUP_OWNER:
             attach, node, group = ll.bridge_attach, local, ll.owned_group(peer)
@@ -165,10 +175,9 @@ class TransferLayer(LinkEvents):
         reason.  Every connect ends here, and so does a directive that
         gives up."""
         if reason is None:
-            self.engine.log(local, EventClass.CONNECT, action="up", peer=peer)
+            self.engine.log(_UP, local, peer)
         else:
-            self.engine.log(local, EventClass.CONNECT, action="failed",
-                            peer=peer, reason=reason)
+            self.engine.log(_FAILED, local, peer, reason)
 
     # ------------------------------------------------------------------
     # link events (LinkEvents)
@@ -210,8 +219,11 @@ class TransferLayer(LinkEvents):
                     payload) -> bool:
         group = self.linklayer.unicast_group(node, peer)
         if group is None:
-            self.engine.log(node, EventClass.DROP, reason="lost", dst=peer,
-                            detail="no_link", **self.loss_fields(payload))
+            app_seq = self.lost_app_seq(payload)
+            if app_seq is None:
+                self.engine.log(_NO_LINK, node, peer)
+            else:
+                self.engine.log(_NO_LINK_APP_SEQ, node, peer, app_seq)
             self._report_loss(node, peer, payload)
             return False
         self.linklayer.deliver_frame(
@@ -228,12 +240,12 @@ class TransferLayer(LinkEvents):
     def frame_lost(self, src: NodeId, dst: NodeId, frame: Frame) -> None:
         self._report_loss(src, dst, frame.payload)
 
-    def loss_fields(self, payload) -> dict:
+    def lost_app_seq(self, payload) -> int | None:
         """A lost data frame's record names its packet, so the summary
         ends that flow as `LOST`; a control frame's names nothing."""
         if isinstance(payload, Packet):
-            return {"app_seq": payload.app_seq}
-        return {}
+            return payload.app_seq
+        return None
 
     def _report_loss(self, src: NodeId, dst: NodeId, payload) -> None:
         agent = self.agents.get(src)
@@ -264,9 +276,8 @@ class TransferLayer(LinkEvents):
         return app_seq
 
     def deliver_local(self, node: NodeId, pkt: Packet) -> None:
-        self.engine.log(node, EventClass.DELIVER, src=pkt.src,
-                        app_seq=pkt.app_seq, cls=pkt.traffic_class,
-                        bits=pkt.payload_bits)
+        self.engine.log(_DELIVER, node, pkt.src, pkt.app_seq,
+                        pkt.traffic_class._value_, pkt.payload_bits)
         self._finalize(pkt.app_seq, DeliveryOutcome.DELIVERED,
                        pkt.path + [node])
 

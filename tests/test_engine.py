@@ -2,15 +2,20 @@
 
 import heapq
 import math
-from enum import Enum, IntEnum
+import string
+from enum import Enum
 from typing import Any
 
 import pytest
 from hypothesis import given, strategies as st
 
-from wfdsim.engine import (MS, SECOND, Engine, EventClass,
-                           RandomSource, _line, uniform_duration)
+from wfdsim import linklayer, routing, simulation, transfer
+from wfdsim.engine import (MS, SECOND, Engine, EventClass, RandomSource,
+                           record_format, uniform_duration)
 from wfdsim.routing import TrafficClass
+from wfdsim.simulation import Simulation
+
+from conftest import load_bench_module
 
 
 def test_schedule_fires_at_now_plus_delay():
@@ -93,16 +98,28 @@ def test_run_until_rejects_past_target():
         engine.run_until(500 * MS)
 
 
+LOST = record_format(EventClass.DROP, "reason=lost", "dst", "size_bits")
+
+
 def test_trace_line_format():
     engine = Engine()
-    engine.call_later(250, lambda: engine.log("A", EventClass.DROP,
-                                              reason="lost", dst="B",
-                                              size_bits=100))
+    engine.call_later(250, lambda: engine.log(LOST, "A", "B", 100))
     engine.run_until(1000)
     assert engine.trace.lines() == ["250 A DROP reason=lost dst=B size_bits=100"]
 
 
-# reference: the formatter as it was, one isinstance chain per value
+def test_dump_of_an_empty_trace_is_empty_and_of_records_ends_in_one_newline():
+    engine = Engine()
+    assert engine.trace.dump() == ""
+    engine.log(LOST, "A", "B", 100)
+    assert engine.trace.dump() == "0 A DROP reason=lost dst=B size_bits=100\n"
+    engine.log(LOST, "B", "A", 7)
+    assert engine.trace.dump() == ("0 A DROP reason=lost dst=B size_bits=100\n"
+                                   "0 B DROP reason=lost dst=A size_bits=7\n")
+
+
+# reference: the formatter as it was, one isinstance chain per value of a
+# (time_us, node, event_class, details) record
 
 def reference_format_value(value: Any) -> str:
     if isinstance(value, bool):
@@ -123,44 +140,101 @@ def reference_line(record: tuple) -> str:
     return " ".join(parts)
 
 
-class Level(IntEnum):
-    LOW = 1
+def record_formats() -> dict[str, str]:
+    """Every record format the simulator writes: module.name -> format."""
+    return {f"{module.__name__.rpartition('.')[2]}.{name}": value
+            for module in (linklayer, routing, transfer, simulation)
+            for name, value in vars(module).items()
+            if isinstance(value, str) and value.startswith("{} {} ")}
 
 
-class Named(str, Enum):
-    A = "a"
+_node = st.text(min_size=1, max_size=4)
+_int = st.integers(-10**30, 10**30)
+_float = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 1e-07, 1e22])
 
 
-class Text(str):
-    def __str__(self):
-        return "text"
+def _as_is(strategy):
+    return strategy.map(lambda value: (value, value))
 
 
-_scalar = st.one_of(
-    st.text(max_size=6),
-    st.integers(-10**30, 10**30),
-    st.booleans(),
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-7, 0.5, 1e22]),
-    st.sampled_from(TrafficClass),
-    st.sampled_from(EventClass),
-    # subclasses take the old rules: an IntEnum, a str Enum, a str whose
-    # str() differs from its text
-    st.sampled_from([Level.LOW, Named.A, Text("raw")]),
-)
-_value = st.recursive(
-    _scalar, lambda inner: st.lists(inner, max_size=4)
-    | st.lists(inner, max_size=4).map(tuple), max_leaves=12)
+# key -> (the value as the old kwargs record carried it, the value the
+# emitting site passes now)
+SITE_VALUES = {
+    **{key: _as_is(_node) for key in (
+        "target", "peer", "owner", "dst", "sender", "src", "next")},
+    **{key: _as_is(st.text(max_size=8)) for key in (
+        "state", "reason", "what", "entries")},
+    **{key: _as_is(_int) for key in (
+        "chan", "dur_us", "intent", "tie", "group", "channel", "addr",
+        "size_bits", "app_seq", "reached", "seq", "lat_us", "n", "ttl",
+        "bits")},
+    "energy": _as_is(_float),
+    "cost": _as_is(_float),
+    "full": _as_is(st.booleans()),
+    "cls": st.sampled_from(TrafficClass).map(lambda c: (c, c._value_)),
+    # a sorted list of node ids, or "-" where the site wrote that for none
+    "changed": st.lists(_node, min_size=1, max_size=4).map(
+        lambda ids: (ids, ",".join(ids))) | _as_is(st.just("-")),
+}
 
 
-@given(st.integers(0, 10**12), st.text(min_size=1, max_size=4),
-       st.sampled_from(EventClass),
-       st.dictionaries(st.from_regex(r"[a-z_]{1,8}", fullmatch=True),
-                       _value, max_size=6))
-def test_line_matches_the_isinstance_chain_formatter(time_us, node,
-                                                     event_class, details):
-    record = (time_us, node, event_class, details)
-    assert _line(record) == reference_line(record)
+def test_every_record_format_is_found():
+    assert len(record_formats()) == 30
+
+
+@pytest.mark.parametrize("fmt", [pytest.param(fmt, id=name) for name, fmt
+                                 in sorted(record_formats().items())])
+@given(data=st.data(), time_us=st.integers(0, 10**12), node=_node)
+def test_format_matches_the_isinstance_chain_formatter(fmt, data, time_us,
+                                                       node):
+    _, _, event_class, *fields = fmt.split(" ")
+    details, values = {}, []
+    for field in fields:
+        key, _, text = field.partition("=")
+        if not text.startswith("{"):
+            details[key] = text  # written by the format itself
+            continue
+        details[key], value = data.draw(SITE_VALUES[key], label=key)
+        values.append(value)
+    record = (time_us, node, EventClass(event_class), details)
+    assert fmt.format(time_us, node, *values) == reference_line(record)
+
+
+# the exact types each kind of replacement field takes
+FIELD_TYPES = {"": (str, int, type(None)), "g": (float,), "d": (bool,)}
+
+
+def unfit_fields(record: tuple) -> list[str]:
+    """What is wrong with a pending record: a value count other than its
+    format's field count (`str.format` drops extra values), or a value of
+    a type other than its field's."""
+    fmt, *values = record
+    specs = [spec for _, name, spec, _ in string.Formatter().parse(fmt)
+             if name is not None]
+    if len(specs) != len(values):
+        return [f"{len(values)} values for {len(specs)} fields"]
+    return [f"field {i}: {type(v).__name__} at {{:{spec}}}"
+            for i, (spec, v) in enumerate(zip(specs[2:], values[2:]))
+            if type(v) not in FIELD_TYPES[spec]]
+
+
+@pytest.mark.parametrize("name", [
+    "chain4", "gc_pair", "two_groups_bridge", "mobility_break", "churn_grid"])
+def test_every_pending_record_fits_its_format(name):
+    source = (load_bench_module("workloads").generate(name, 1)
+              if name == "churn_grid" else name)
+    sim = Simulation.from_source(source)
+    sim.run_until(sim.scenario.sim.duration_us)
+    pending = sim.trace._pending
+    assert pending and not sim.trace._lines
+    problems = {}
+    for record in pending:
+        assert type(record[1]) is int and type(record[2]) is str
+        unfit = unfit_fields(record)
+        if unfit:
+            problems.setdefault(record[0], unfit)
+    assert problems == {}
 
 
 def test_random_source_streams_are_order_independent():

@@ -83,6 +83,13 @@ def test_connect_out_of_range_rejected():
         sim.transfer.connect("a", "z")
 
 
+def test_connect_a_node_to_itself_is_rejected():
+    sim = pair_sim()
+    with pytest.raises(ValueError, match="to itself"):
+        sim.transfer.connect("a", "a")
+    assert sim.trace.lines() == []
+
+
 def test_connect_two_owners_bridges():
     sim = make_sim(
         [("a1", 0, 0, 2), ("b1", 150, 0, 12), ("b2", 300, 0, 13),
@@ -389,6 +396,18 @@ def test_self_send_is_a_degenerate_local_delivery():
     assert report.path == ["a"]
     assert report.latency_us == 0
     assert deliveries(sim, "a") == [("a", 123, seq)]
+
+
+def test_send_from_an_unknown_node_changes_nothing():
+    sim = pair_sim()
+    sim.run_until(3 * SECOND)
+    lines, queued = sim.trace.lines(), len(sim.engine._queue)
+    with pytest.raises(KeyError, match="'ghost'"):
+        sim.transfer.app_send("ghost", "a", 100, TrafficClass.REAL_TIME)
+    assert sim.transfer.reports == {}
+    assert sim.trace.lines() == lines
+    assert len(sim.engine._queue) == queued
+    assert sim.transfer.app_send("a", "b", 100) == 0  # no app_seq used up
 
 
 def test_send_to_unreachable_destination_reports_no_route():
