@@ -54,19 +54,17 @@ def main(argv=None) -> int:
             load_scenario(args.scenario)
             print("ok")
             return 0
-        if args.command == "replay":
-            with open(args.trace, "rb") as fh:
-                try:
-                    text = build_summary(_decoded(fh)).to_text()
-                except ValueError as exc:
-                    print(f"error: {args.trace}: {exc}", file=sys.stderr)
-                    return 1
-            print(text, end="")
-            return 0
+        with open(args.trace, "rb") as fh:  # replay
+            try:
+                text = build_summary(_decoded(fh)).to_text()
+            except ValueError as exc:
+                print(f"error: {args.trace}: {exc}", file=sys.stderr)
+                return 1
+        print(text, end="")
+        return 0
     except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 2
 
 
 def _decoded(lines):

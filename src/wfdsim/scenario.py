@@ -7,10 +7,12 @@ energy cost), ``script`` (timed connect/join/bridge directives), ``mobility``
 strict: unknown keys anywhere are an error, numbers must be finite and may
 not be booleans, the periods ``advert_period_ms``, ``keepalive_ms`` and
 ``find_max_ms`` must be at least 1 µs, and every cross-reference is
-validated with a message naming the offending entry.  The same rules
-apply to a mapping passed to ``load_scenario`` in place of a file; it is
-validated without importing the YAML parser, so a run built from a
-mapping never pays for that import.
+validated with a message naming the offending entry.  One entry loop,
+``_entries``, checks the four list sections and their entries' keys.  A
+file that is not UTF-8 or not YAML is a one-line ``ScenarioError`` too.
+The same rules apply to a mapping passed to ``load_scenario`` in place of
+a file; it is validated without importing the YAML parser, so a run built
+from a mapping never pays for that import.
 
 Each setting lives in the config object of the layer that reads it, and
 that config object holds its default: ``LinkConfig`` (discovery, negotiation,
@@ -29,6 +31,7 @@ import math
 import os
 import re
 from collections import defaultdict
+from functools import partial
 
 from .engine import MS, SECOND
 from .linklayer import SOCIAL_CHANNELS, BridgingPolicy, LinkConfig
@@ -141,9 +144,16 @@ def load_scenario(source) -> Scenario:
     if isinstance(source, dict):
         raw = source
     else:
-        text = _read(source)
         import yaml
-        raw = yaml.safe_load(text)
+        try:
+            raw = yaml.safe_load(_read(source))
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
+            # one line: where the parser stopped, if it marked it, and why
+            mark = getattr(exc, "problem_mark", None)
+            at = (f"line {mark.line + 1}, column {mark.column + 1}: "
+                  if mark else "")
+            problem = str(getattr(exc, "problem", None) or exc).split()
+            raise ScenarioError(f"{source}: {at}{' '.join(problem)}") from None
     if not isinstance(raw, dict):
         raise ScenarioError("scenario document must be a mapping")
     return _validate(raw)
@@ -153,7 +163,7 @@ def _read(source) -> str:
     """A scenario file's text; a bare name that is no file names a bundled
     scenario."""
     path = str(source)
-    if _ID_RE.match(path) and not os.path.isfile(path):
+    if _ID_RE.fullmatch(path) and not os.path.isfile(path):
         return bundled_scenario_path(path).read_text(encoding="utf-8")
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -206,12 +216,13 @@ def _period_ms(value, where: str, key: str) -> int:
     return us
 
 
-def _bridging(value, where: str, key: str) -> BridgingPolicy:
+def _enum(kind, value, where: str, key: str):
+    """The member of the Enum `kind` whose value is `value`."""
     try:
-        return BridgingPolicy(value)
+        return kind(value)
     except ValueError:
         raise ScenarioError(f"{where}: {key} must be one of "
-                            f"{[p.value for p in BridgingPolicy]}")
+                            f"{[m.value for m in kind]}")
 
 
 _POSITIVE_INT = _rule(lambda v: _integer(v) and v > 0, "be a positive integer")
@@ -232,7 +243,7 @@ _SIM_FIELDS = {
     "full_dump_every": ("routing", "full_dump_every", _POSITIVE_INT),
     "ttl": ("routing", "default_ttl", _POSITIVE_INT),
     "keepalive_miss_limit": ("link", "keepalive_miss_limit", _POSITIVE_INT),
-    "bridging": ("link", "bridging", _bridging),
+    "bridging": ("link", "bridging", partial(_enum, BridgingPolicy)),
 }
 # "node" is NodeSpec itself; id and pos are parsed first, by hand
 _NODE_FIELDS = {
@@ -266,28 +277,86 @@ def _parse_fields(raw: dict, table: dict, where: str) -> dict[str, dict]:
 
 def _validate(raw: dict) -> Scenario:
     _check_keys(raw, _SCENARIO_KEYS, "scenario")
-    sim = _validate_sim(raw.get("sim") or {})
-    nodes = _validate_nodes(raw.get("nodes"))
-    ids = {n.id for n in nodes}
-    script = _validate_script(raw.get("script") or [], ids, sim)
-    mobility = _validate_mobility(raw.get("mobility") or [], ids, sim)
-    traffic = _validate_traffic(raw.get("traffic") or [], ids, sim)
-    return Scenario(sim, nodes, script, mobility, traffic)
-
-
-def _validate_sim(raw: dict) -> SimSettings:
-    if not isinstance(raw, dict):
+    settings = raw.get("sim") or {}
+    if not isinstance(settings, dict):
         raise ScenarioError("sim section must be a mapping")
-    _check_keys(raw, _SIM_FIELDS.keys(), "sim")
-    values = _parse_fields(raw, _SIM_FIELDS, "sim")
-    settings = SimSettings(link=LinkConfig(**values["link"]),
-                           routing=RoutingConfig(**values["routing"]),
-                           **values["sim"])
-    if settings.link.find_min_us > settings.link.find_max_us:
+    _check_keys(settings, _SIM_FIELDS.keys(), "sim")
+    values = _parse_fields(settings, _SIM_FIELDS, "sim")
+    sim = SimSettings(link=LinkConfig(**values["link"]),
+                      routing=RoutingConfig(**values["routing"]),
+                      **values["sim"])
+    if sim.link.find_min_us > sim.link.find_max_us:
         raise ScenarioError("sim: find_min_ms must not exceed find_max_ms")
-    if settings.duration_us <= 0:
+    if sim.duration_us <= 0:
         raise ScenarioError("sim: duration_ms must be positive")
-    return settings
+
+    if not (isinstance(raw.get("nodes"), list) and raw["nodes"]):
+        raise ScenarioError("scenario needs a non-empty nodes list")
+    nodes: dict[str, NodeSpec] = {}
+    for where, entry in _entries(raw, "nodes", _NODE_KEYS):
+        node_id = entry.get("id")
+        if not (isinstance(node_id, str) and _ID_RE.fullmatch(node_id)):
+            raise ScenarioError(f"{where}: id must match {_ID_RE.pattern}")
+        if node_id in nodes:
+            raise ScenarioError(f"duplicate node id {node_id!r}")
+        pos = _validate_pos(entry.get("pos"), where)
+        values = _parse_fields(entry, _NODE_FIELDS, where)
+        nodes[node_id] = NodeSpec(node_id, pos,
+                                  RadioProfile(**values["radio"]),
+                                  **values["node"])
+
+    script = []
+    for where, entry in _entries(raw, "script", _SCRIPT_KEYS):
+        action = entry.get("action")
+        if action not in _ACTIONS:
+            raise ScenarioError(f"{where}: action must be one of {_ACTIONS}")
+        initiator = _node(entry, "from", nodes, where)
+        peer = _node(entry, "to", nodes, where)
+        if initiator == peer:
+            raise ScenarioError(f"{where}: from and to must differ")
+        script.append(ScriptDirective(_validate_at(entry, sim, where),
+                                      action, initiator, peer))
+
+    mobility = []
+    for where, entry in _entries(raw, "mobility", _MOBILITY_KEYS):
+        node = _node(entry, "node", nodes, where)
+        mobility.append(MobilityStep(_validate_at(entry, sim, where), node,
+                                     _validate_pos(entry.get("pos"), where)))
+
+    traffic = []
+    for where, entry in _entries(raw, "traffic", _TRAFFIC_KEYS):
+        src = _node(entry, "src", nodes, where)
+        dst = _node(entry, "dst", nodes, where)
+        bits = entry.get("payload_bits", 0)
+        if not (_integer(bits) and bits >= 0):
+            raise ScenarioError(f"{where}: payload_bits must be >= 0")
+        cls = _enum(TrafficClass, entry.get("class", "REAL_TIME"), where,
+                    "class")
+        traffic.append(TrafficSpec(_validate_at(entry, sim, where), src, dst,
+                                   bits, cls))
+    return Scenario(sim, list(nodes.values()), script, mobility, traffic)
+
+
+def _entries(raw: dict, section: str, keys):
+    """(where, entry) for each entry of a list section of the document,
+    once the entry is known to be a mapping with no key outside `keys`."""
+    entries = raw.get(section) or []
+    if not isinstance(entries, list):
+        raise ScenarioError(f"{section} section must be a list")
+    for i, entry in enumerate(entries):
+        where = f"{section}[{i}]"
+        if not isinstance(entry, dict):
+            raise ScenarioError(f"{where} must be a mapping")
+        _check_keys(entry, keys, where)
+        yield where, entry
+
+
+def _node(entry: dict, key: str, ids, where: str) -> str:
+    """The node id under `key`, which must name a node in `ids`."""
+    node = entry.get(key)
+    if not (isinstance(node, str) and node in ids):
+        raise ScenarioError(f"{where}: {key} references unknown node {node!r}")
+    return node
 
 
 def _validate_pos(value, where: str) -> Position:
@@ -300,106 +369,9 @@ def _validate_pos(value, where: str) -> Position:
         raise ScenarioError(f"{where}: pos must be finite")
 
 
-def _validate_nodes(raw) -> list[NodeSpec]:
-    if not (isinstance(raw, list) and raw):
-        raise ScenarioError("scenario needs a non-empty nodes list")
-    nodes: list[NodeSpec] = []
-    seen: set[str] = set()
-    for i, entry in enumerate(raw):
-        where = f"nodes[{i}]"
-        if not isinstance(entry, dict):
-            raise ScenarioError(f"{where} must be a mapping")
-        _check_keys(entry, _NODE_KEYS, where)
-        node_id = entry.get("id")
-        if not (isinstance(node_id, str) and _ID_RE.match(node_id)):
-            raise ScenarioError(f"{where}: id must match {_ID_RE.pattern}")
-        if node_id in seen:
-            raise ScenarioError(f"duplicate node id {node_id!r}")
-        seen.add(node_id)
-        pos = _validate_pos(entry.get("pos"), where)
-        values = _parse_fields(entry, _NODE_FIELDS, where)
-        nodes.append(NodeSpec(node_id, pos, RadioProfile(**values["radio"]),
-                              **values["node"]))
-    return nodes
-
-
 def _validate_at(entry: dict, sim: SimSettings, where: str) -> int:
     at_us = _ms(entry["at_ms"], where, "at_ms") if "at_ms" in entry else -1
     if not 0 <= at_us <= sim.duration_us:
         raise ScenarioError(
             f"{where}: at_ms must lie within the simulation duration")
     return at_us
-
-
-def _validate_script(raw, ids: set[str],
-                     sim: SimSettings) -> list[ScriptDirective]:
-    if not isinstance(raw, list):
-        raise ScenarioError("script section must be a list")
-    script = []
-    for i, entry in enumerate(raw):
-        where = f"script[{i}]"
-        if not isinstance(entry, dict):
-            raise ScenarioError(f"{where} must be a mapping")
-        _check_keys(entry, _SCRIPT_KEYS, where)
-        action = entry.get("action")
-        if action not in _ACTIONS:
-            raise ScenarioError(f"{where}: action must be one of {_ACTIONS}")
-        initiator, peer = entry.get("from"), entry.get("to")
-        for label, node in (("from", initiator), ("to", peer)):
-            if node not in ids:
-                raise ScenarioError(f"{where}: {label} references unknown "
-                                    f"node {node!r}")
-        if initiator == peer:
-            raise ScenarioError(f"{where}: from and to must differ")
-        script.append(ScriptDirective(_validate_at(entry, sim, where),
-                                      action, initiator, peer))
-    return script
-
-
-def _validate_mobility(raw, ids: set[str],
-                       sim: SimSettings) -> list[MobilityStep]:
-    if not isinstance(raw, list):
-        raise ScenarioError("mobility section must be a list")
-    steps = []
-    for i, entry in enumerate(raw):
-        where = f"mobility[{i}]"
-        if not isinstance(entry, dict):
-            raise ScenarioError(f"{where} must be a mapping")
-        _check_keys(entry, _MOBILITY_KEYS, where)
-        node = entry.get("node")
-        if node not in ids:
-            raise ScenarioError(
-                f"{where}: node references unknown node {node!r}")
-        steps.append(MobilityStep(_validate_at(entry, sim, where), node,
-                                  _validate_pos(entry.get("pos"), where)))
-    return steps
-
-
-def _validate_traffic(raw, ids: set[str],
-                      sim: SimSettings) -> list[TrafficSpec]:
-    if not isinstance(raw, list):
-        raise ScenarioError("traffic section must be a list")
-    flows = []
-    for i, entry in enumerate(raw):
-        where = f"traffic[{i}]"
-        if not isinstance(entry, dict):
-            raise ScenarioError(f"{where} must be a mapping")
-        _check_keys(entry, _TRAFFIC_KEYS, where)
-        for label in ("src", "dst"):
-            if entry.get(label) not in ids:
-                raise ScenarioError(f"{where}: {label} references unknown "
-                                    f"node {entry.get(label)!r}")
-        bits = entry.get("payload_bits", 0)
-        if not (_integer(bits) and bits >= 0):
-            raise ScenarioError(f"{where}: payload_bits must be >= 0")
-        cls_name = entry.get("class", "REAL_TIME")
-        try:
-            cls = TrafficClass(cls_name)
-        except ValueError:
-            raise ScenarioError(
-                f"{where}: class must be one of "
-                f"{[c.value for c in TrafficClass]}")
-        flows.append(TrafficSpec(_validate_at(entry, sim, where),
-                                 entry["src"], entry["dst"], bits, cls))
-    return flows
-

@@ -208,6 +208,13 @@ def test_position_and_radio_profile_are_hashable_values():
     assert Position(200.0, 250_000_000) != RadioProfile(200.0, 250_000_000)
 
 
+def test_a_record_repr_names_its_class_and_each_field():
+    assert repr(RadioProfile()) == ("RadioProfile(range_m=200.0, "
+                                    "data_rate_bps=250000000, "
+                                    "per_hop_mac_latency_us=2000)")
+    assert repr(Position(1.5, -0.0)) == "Position(x=1.5, y=-0.0)"
+
+
 @pytest.mark.parametrize("x, y", [(NAN, 0.0), (0.0, NAN), (INF, 0.0),
                                   (0.0, -INF)])
 def test_a_non_finite_position_is_rejected(x, y):

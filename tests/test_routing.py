@@ -447,6 +447,13 @@ def test_forward_without_route_at_relay_drops_and_sends_nothing():
         ("a", EventClass.DROP.value, "no_route")
 
 
+def test_an_unknown_control_message_is_a_type_error():
+    engine, agent = agent_with({})
+    with pytest.raises(TypeError, match="^unknown control message Packet$"):
+        agent.handle_control(Packet("b", "a", 1, 7, TrafficClass.BULK, 1), 0)
+    assert engine.trace.lines() == []
+
+
 # ----------------------------------------------------------------------
 # invalidation
 

@@ -211,6 +211,15 @@ INF, NAN = float("inf"), float("nan")
     (("sim", "keepalive_ms"), 0.0004,  # rounds to 0 µs
      "sim: keepalive_ms must be positive"),
     (("auto_chain",), True, "unknown field(s) in scenario: auto_chain"),
+    # "$" also matches before a final newline, which would split trace lines
+    (("nodes", 1, "id"), "b\n", r"nodes[1]: id must match ^[A-Za-z0-9_\-]+$"),
+    # a node reference that is no string, and unhashable
+    (("script", 0, "from"), ["a"],
+     "script[0]: from references unknown node ['a']"),
+    (("mobility",), [{"at_ms": 10, "node": ["a"], "pos": [0, 0]}],
+     "mobility[0]: node references unknown node ['a']"),
+    (("traffic",), [{"at_ms": 10, "src": ["a"], "dst": "b"}],
+     "traffic[0]: src references unknown node ['a']"),
 ])
 def test_non_finite_and_boolean_inputs_rejected(path, value, message):
     doc = _set(variant(), path, value)
@@ -243,6 +252,55 @@ def test_cli_validate_rejects_bad_numbers_with_one_error_line(
         capture_output=True, text=True, timeout=120)
     assert "Traceback" not in result.stderr
     assert (result.returncode, result.stderr) == (1, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("doc, message", [
+    (["a"], "scenario document must be a mapping"),
+    (None, "scenario document must be a mapping"),  # an empty file
+    (variant(sim=[1]), "sim section must be a mapping"),
+    (variant(sim={"bridging": "SOMETIMES"}),
+     "sim: bridging must be one of ['GO_AS_LEGACY_CLIENT', 'NONE']"),
+    (variant(nodes=[]), "scenario needs a non-empty nodes list"),
+    (variant(nodes={"id": "a", "pos": [0, 0]}),
+     "scenario needs a non-empty nodes list"),
+    (variant(nodes=["a"]), "nodes[0] must be a mapping"),
+    (variant(script={"at_ms": 0}), "script section must be a list"),
+    (variant(script=[["connect", "a", "b"]]), "script[0] must be a mapping"),
+    (variant(mobility={"at_ms": 0}), "mobility section must be a list"),
+    (variant(mobility=[None]), "mobility[0] must be a mapping"),
+    (variant(traffic="a to b"), "traffic section must be a list"),
+    (variant(traffic=[{"at_ms": 0, "src": "a", "dst": "b"}, 7]),
+     "traffic[1] must be a mapping"),
+])
+def test_a_misshapen_document_or_section_is_named(tmp_path, doc, message):
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    with pytest.raises(ScenarioError) as raised:
+        load_scenario(path)
+    assert str(raised.value) == message
+
+
+# a file the YAML parser rejects, or that is not UTF-8
+@pytest.mark.parametrize("text, problem", [
+    (b"nodes: [", "line 1, column 9: expected the node content, but found "
+                  "'<stream end>'"),
+    (b"? [a, b]\n: 1\n", "line 1, column 3: found unhashable key"),
+    (b"nodes: \xff\n", "'utf-8' codec can't decode byte 0xff in position 7: "
+                        "invalid start byte"),
+])
+def test_cli_validate_rejects_a_malformed_file_with_one_error_line(
+        tmp_path, text, problem):
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(text)
+    with pytest.raises(ScenarioError) as raised:
+        load_scenario(bad)
+    assert str(raised.value) == f"{bad}: {problem}"
+    result = subprocess.run(
+        [sys.executable, "-m", "wfdsim.cli", "validate", str(bad)],
+        capture_output=True, text=True, timeout=120)
+    assert "Traceback" not in result.stderr
+    assert (result.returncode, result.stdout, result.stderr) == (
+        1, "", f"error: {bad}: {problem}\n")
 
 
 # not finite, negative, zero, or under 1 µs once rounded

@@ -4,8 +4,8 @@ delivery reporting."""
 import pytest
 
 from wfdsim.engine import MS, SECOND, EventClass
-from wfdsim.linklayer import (BridgingPolicy, DeviceState, LinkConfig,
-                              LinkEvents, OutOfRangeError)
+from wfdsim.linklayer import (BridgingPolicy, DeviceState, InvalidStateError,
+                              LinkConfig, LinkEvents, OutOfRangeError)
 from wfdsim.routing import TrafficClass
 from wfdsim.transfer import DeliveryOutcome, RoleConflictError
 from wfdsim.simulation import Simulation
@@ -88,6 +88,18 @@ def test_connect_a_node_to_itself_is_rejected():
     with pytest.raises(ValueError, match="to itself"):
         sim.transfer.connect("a", "a")
     assert sim.trace.lines() == []
+
+
+def test_connect_a_pair_with_a_scanning_end_is_busy():
+    sim = pair_sim()
+    sim.linklayer.start_discovery("b")
+    before = sim.trace.lines()
+    for local, peer in (("a", "b"), ("b", "a")):
+        with pytest.raises(InvalidStateError,
+                           match=f"^{local} or {peer} is busy$"):
+            sim.transfer.connect(local, peer)
+    assert sim.linklayer.state("b") is DeviceState.SCAN
+    assert sim.trace.lines() == before
 
 
 def test_connect_two_owners_bridges():
