@@ -15,16 +15,17 @@ hop count requirement keeps every candidate strictly closer to the
 destination, which is what makes per-hop class selection loop-free once
 tables have converged.
 
-Merging skips, before building any entry, the advertised candidates that
-cannot change the table.  Against the destination's primary these are: an
-older sequence number (freshness-first rejects it outright); an equal
-sequence via the primary's own next hop with identical hops, latency and
-energy (it would only replace the primary with an equal route); and an
-equal sequence via another neighbor with more hops (neither better nor an
-equal-hop alternate).  This is the DSDV rule that an update carrying no new
-information is dropped.  Every other candidate goes through `_consider`.
-Because an identical refresh is skipped, `RoutingEntry.last_updated` is
-the time a route was adopted or changed, not when it was last heard.
+Merging decides each advertised candidate once, against its destination's
+slots: an older sequence number is dropped (freshness first); a newer one
+replaces the slots; at an equal sequence an invalid candidate is dropped,
+a better one (fewer hops, then lower latency) becomes primary, one via the
+primary's own next hop replaces the primary unless it is identical, and an
+equal-hop one via another neighbor may take the alternate slot.  An
+identical refresh is the DSDV update that carries no new information, so
+`RoutingEntry.last_updated` is the time a route was adopted or changed, not
+when it was last heard.  The decision is a pure function of the slots and
+the candidate.  Applied to its own output it changes no route: at most it
+puts an identical alternate again, with a `last_updated` nothing reads.
 
 Full dumps repeat mostly what every neighbor already heard, so both ends
 do work only for what changed.  A table never edits an entry: each write
@@ -35,15 +36,14 @@ keeps them; a full dump joins kept strings.  It names in `changed` the
 destinations its table wrote since its previous dump.  A receiver that
 folded the sender's previous dump over the same link folds from the next
 one only the destinations in `changed` or written in its own table since
-(`merge_full_dump`); the rest would be applied to the slots they already
-shaped, which `_consider` leaves as they are.  The trace is the same as
+(`merge_full_dump`); the rest would be decided again against the slots
+they already shaped, which changes no route.  The trace is the same as
 with a whole fold.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from functools import partial
 from typing import NamedTuple
 
 from .engine import Engine, EventClass, NodeId, record_format
@@ -122,7 +122,7 @@ class RoutingEntry:
         self.latency_us = latency_us
         self.energy_cost = energy_cost
         self.last_updated = last_updated
-        self.advert: AdvertEntry | None = None
+        self.advert: tuple[NodeId, int, int, int, float] | None = None
         self.wire: str | None = None
 
     @property
@@ -130,33 +130,21 @@ class RoutingEntry:
         return self.hop_count < INFINITE_HOPS
 
 
-class AdvertEntry(NamedTuple):
-    dest: NodeId
-    seq_no: int
-    hop_count: int
-    latency_us: int
-    energy_cost: float
-
-
-# builds an AdvertEntry from a tuple in C, without the Python-level __new__
-# that AdvertEntry(...) runs
-_new_advert_entry = partial(tuple.__new__, AdvertEntry)
-
-
-def _wire(entry: AdvertEntry) -> str:
+def _wire(entry: tuple[NodeId, int, int, int, float]) -> str:
     """An advert entry as the trace writes it: dest:seq:hops:lat_us:energy."""
     return "%s:%s:%s:%s:%g" % entry
 
 
 class TableAdvert(NamedTuple):
-    """A table advert.  A full dump also carries its number among the
-    sender's full dumps and, in `changed`, the destinations the sender's
-    table wrote since its previous full dump (`None` when there was none):
-    every other entry repeats what that dump carried."""
+    """A table advert.  Each entry is a plain tuple `(dest, seq_no,
+    hop_count, latency_us, energy_cost)`.  A full dump also carries its
+    number among the sender's full dumps and, in `changed`, the destinations
+    the sender's table wrote since its previous full dump (`None` when there
+    was none): every other entry repeats what that dump carried."""
 
     sender: NodeId
     sender_cost: float
-    entries: list[AdvertEntry]
+    entries: list[tuple[NodeId, int, int, int, float]]
     full_dump: bool
     dump_no: int = 0
     changed: set[NodeId] | None = None
@@ -222,12 +210,6 @@ class RoutingTable:
                 for d, s in self.entries.items() if s[0].valid}
 
 
-def _route_fields(entry: RoutingEntry) -> tuple:
-    # the advertised identity of a route; seq-only refreshes are not changes
-    return (entry.next_hop, entry.hop_count, entry.latency_us,
-            entry.energy_cost, entry.valid)
-
-
 def merge_advert(table: RoutingTable, advert: TableAdvert, link: LinkMetrics,
                  now: int) -> set[NodeId]:
     """Fold a neighbor's advert into the table.
@@ -237,8 +219,9 @@ def merge_advert(table: RoutingTable, advert: TableAdvert, link: LinkMetrics,
     freshness-first: strictly newer sequence wins outright; an equal sequence
     wins only by fewer hops, then lower latency.  Equal-sequence equal-hop
     candidates via a different neighbor are kept as alternates.  Returns the
-    set of destinations whose advertised route changed (these also enter the
-    dirty set).
+    set of destinations whose advertised route (next hop, hops, latency,
+    energy) changed; these also enter the dirty set.  A seq-only refresh is
+    written but is not a change.
     """
     changed: set[NodeId] = set()
     entries = table.entries
@@ -248,29 +231,60 @@ def merge_advert(table: RoutingTable, advert: TableAdvert, link: LinkMetrics,
     for dest, seq, hops, latency, energy in advert.entries:
         if dest == owner:
             continue
-        if hops >= INFINITE_HOPS:
+        hops += 1
+        if hops >= INFINITE_HOPS:  # unreachable, so it carries no cost
             hops, latency, energy = INFINITE_HOPS, 0, 0.0
         else:
-            hops += 1
             latency += link_latency
             energy += link_energy
         slots = entries.get(dest)
-        if slots:
-            # candidates _consider would leave without effect (module doc)
-            primary = slots[0]
-            if seq < primary.seq_no:
-                continue
-            if seq == primary.seq_no:
-                if primary.next_hop == sender:
-                    if (hops == primary.hop_count
-                            and latency == primary.latency_us
-                            and energy == primary.energy_cost):
-                        continue
-                elif hops > primary.hop_count:
-                    continue
-        if _consider(table, RoutingEntry(dest, sender, hops, seq, latency,
-                                         energy, now)):
+        if not slots:
+            if hops < INFINITE_HOPS:  # else nothing to invalidate
+                table.put(dest, [RoutingEntry(dest, sender, hops, seq,
+                                              latency, energy, now)])
+                changed.add(dest)
+            continue
+        primary = slots[0]
+        held_seq = primary.seq_no
+        if seq < held_seq:
+            continue
+        held_hops = primary.hop_count
+        if seq > held_seq:
+            table.put(dest, [RoutingEntry(dest, sender, hops, seq, latency,
+                                          energy, now)])
+            if (sender != primary.next_hop or hops != held_hops
+                    or latency != primary.latency_us
+                    or energy != primary.energy_cost):
+                changed.add(dest)
+            continue
+        # equal sequence, so both valid (even) or both invalidated (odd)
+        if hops >= INFINITE_HOPS:
+            continue
+        if hops < held_hops or (hops == held_hops
+                                and latency < primary.latency_us):
+            # better, so it differs in hops or latency: a change
+            cand = RoutingEntry(dest, sender, hops, seq, latency, energy, now)
+            if sender != primary.next_hop and hops == held_hops:
+                table.put(dest, [cand, primary])
+            else:
+                table.put(dest, [cand])
             changed.add(dest)
+        elif sender == primary.next_hop:
+            if (hops != held_hops or latency != primary.latency_us
+                    or energy != primary.energy_cost):
+                table.put(dest, [RoutingEntry(dest, sender, hops, seq,
+                                              latency, energy, now),
+                                 *slots[1:]])
+                changed.add(dest)
+        elif hops == held_hops:
+            # alternate candidacy: equal seq, equal hops, different
+            # neighbor; the one alternate slot takes it when empty, held via
+            # the same neighbor, or worse by (latency, next hop)
+            if (len(slots) == 1 or slots[1].next_hop == sender
+                    or (latency, sender) < (slots[1].latency_us,
+                                            slots[1].next_hop)):
+                table.put(dest, [primary, RoutingEntry(
+                    dest, sender, hops, seq, latency, energy, now)])
     table.dirty |= changed
     return changed
 
@@ -284,12 +298,12 @@ def merge_full_dump(table: RoutingTable, advert: TableAdvert,
     number, its own version and the link's latency and energy.  When the
     sender's next dump follows directly over an unchanged link, an entry
     whose destination is neither in the dump's `changed` nor written since
-    that fold yields the same candidate that fold gave `_consider`, against
-    the same slots.  `_consider` is a pure function of the slots and the
-    candidate, and applying it to its own output changes nothing, apart
-    from an identical alternate's `last_updated`, which nothing reads.  So
-    such entries are dropped before `merge_advert`; any other dump is
-    folded whole."""
+    that fold yields the same candidate that fold decided, against the same
+    slots.  `merge_advert` decides each candidate once, as a pure function
+    of the slots and the candidate, and deciding it again on its own output
+    changes no route: at most it puts an identical alternate again, with a
+    `last_updated` nothing reads.  So such entries are dropped before
+    `merge_advert`; any other dump is folded whole."""
     heard = table.heard.get(advert.sender)
     if (heard is not None and advert.changed is not None
             and heard[0] == advert.dump_no - 1
@@ -306,45 +320,6 @@ def merge_full_dump(table: RoutingTable, advert: TableAdvert,
     table.heard[advert.sender] = (advert.dump_no, table.version,
                                   link.latency_us, link.energy_cost)
     return folded
-
-
-def _consider(table: RoutingTable, cand: RoutingEntry) -> bool:
-    dest = cand.destination
-    slots = table.entries.get(dest)
-    if not slots:
-        if not cand.valid:
-            return False  # nothing to invalidate
-        table.put(dest, [cand])
-        return True
-    primary = slots[0]
-    if cand.seq_no > primary.seq_no:
-        table.put(dest, [cand])
-        return _route_fields(cand) != _route_fields(primary)
-    if cand.seq_no < primary.seq_no:
-        return False
-    # equal sequence, so both valid (even) or both invalidated (odd)
-    if not cand.valid:
-        return False
-    if (cand.hop_count, cand.latency_us) < (primary.hop_count, primary.latency_us):
-        if (primary.next_hop != cand.next_hop
-                and primary.hop_count == cand.hop_count):
-            table.put(dest, [cand, primary])
-        else:
-            table.put(dest, [cand])
-        return _route_fields(cand) != _route_fields(primary)
-    if cand.next_hop == primary.next_hop:
-        table.put(dest, [cand, *slots[1:]])
-        return _route_fields(cand) != _route_fields(primary)
-    # alternate candidacy: equal seq, equal hops, different neighbor; the
-    # one alternate slot takes it when empty, held via the same neighbor,
-    # or worse by (latency, next hop)
-    if cand.hop_count != primary.hop_count:
-        return False
-    if len(slots) == 1 or slots[1].next_hop == cand.next_hop or \
-            (cand.latency_us, cand.next_hop) < (slots[1].latency_us,
-                                               slots[1].next_hop):
-        table.put(dest, [primary, cand])
-    return False
 
 
 def select_route(table: RoutingTable, dst: NodeId,
@@ -441,8 +416,8 @@ class RoutingAgent:
             latency = now - sent_at
         link = LinkMetrics(latency, resp.energy_cost)
         self.link_metrics[resp.sender] = link
-        self_entry = AdvertEntry(resp.sender, resp.seq_no, 0, 0, 0.0)
-        advert = TableAdvert(resp.sender, resp.energy_cost, [self_entry], False)
+        advert = TableAdvert(resp.sender, resp.energy_cost,
+                             [(resp.sender, resp.seq_no, 0, 0, 0.0)], False)
         changed = merge_advert(self.table, advert, link, now)
         self.engine.log(_RESP, self.node, resp.sender, resp.seq_no,
                         link.latency_us, resp.energy_cost,
@@ -471,21 +446,18 @@ class RoutingAgent:
         self.engine.log(_TX, self.node, advert.full_dump, len(advert.entries),
                         self.energy_cost, ",".join(wires) or "-")
 
-    def _advert_entries(self, dests) -> tuple[list[AdvertEntry], list[str]]:
+    def _advert_entries(self, dests) -> tuple[list[tuple], list[str]]:
         """The advertised primary route to each destination, and its wire
-        text; an invalid one goes out with infinite hops and zero latency
-        and energy.  Both are built once per entry and kept on it."""
+        text, both built once per entry and kept on it.  An invalid route
+        is always built with infinite hops and zero latency and energy, so
+        it goes out as it is held."""
         slots_of = self.table.entries
         entries, wires = [], []
         for dst in dests:
             e = slots_of[dst][0]
             if e.wire is None:
-                if e.hop_count < INFINITE_HOPS:
-                    e.advert = _new_advert_entry((dst, e.seq_no, e.hop_count,
-                                                  e.latency_us, e.energy_cost))
-                else:
-                    e.advert = _new_advert_entry((dst, e.seq_no,
-                                                  INFINITE_HOPS, 0, 0.0))
+                e.advert = (dst, e.seq_no, e.hop_count, e.latency_us,
+                            e.energy_cost)
                 e.wire = _wire(e.advert)
             entries.append(e.advert)
             wires.append(e.wire)
@@ -496,7 +468,7 @@ class RoutingAgent:
         destination's advertised route.  `changed` names this node and the
         destinations written since the previous dump."""
         table = self.table
-        own = _new_advert_entry((self.node, table.self_seq, 0, 0, 0.0))
+        own = (self.node, table.self_seq, 0, 0, 0.0)
         entries, wires = self._advert_entries(table.destinations())
         entries.insert(0, own)
         wires.insert(0, _wire(own))

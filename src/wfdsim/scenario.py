@@ -154,6 +154,8 @@ def load_scenario(source) -> Scenario:
                   if mark else "")
             problem = str(getattr(exc, "problem", None) or exc).split()
             raise ScenarioError(f"{source}: {at}{' '.join(problem)}") from None
+        except RecursionError:  # the parser recurses once per nesting level
+            raise ScenarioError(f"{source}: nested too deeply") from None
     if not isinstance(raw, dict):
         raise ScenarioError("scenario document must be a mapping")
     return _validate(raw)

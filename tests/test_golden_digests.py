@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+from wfdsim.routing import INFINITE_HOPS
 from wfdsim.scenario import load_scenario
 from wfdsim.simulation import Simulation
 from wfdsim.summary import build_summary
@@ -34,12 +35,24 @@ GOLDEN = {
 def assert_valid_iff_even_seq(sim):
     """A valid route carries an even sequence number (its origin's own, or
     one copied from a valid route), an invalidated one an odd one (a valid
-    route's plus one, or one copied from an invalidated route); `_consider`
-    relies on it when it compares two routes of equal sequence."""
+    route's plus one, or one copied from an invalidated route);
+    `merge_advert` relies on it when it decides a candidate of the held
+    sequence: both are valid or both invalid."""
     wrong = [(node, e.destination, e.seq_no, e.hop_count)
              for node, agent in sorted(sim.agents.items())
              for slots in agent.table.entries.values() for e in slots
              if e.valid != (e.seq_no % 2 == 0)]
+    assert wrong == []
+
+
+def assert_invalid_routes_carry_no_cost(sim):
+    """An invalidated route holds zero latency and energy, so its advert
+    tuple is built from its fields as they are held."""
+    wrong = [(node, e.destination, e.hop_count, e.latency_us, e.energy_cost)
+             for node, agent in sorted(sim.agents.items())
+             for slots in agent.table.entries.values() for e in slots
+             if e.hop_count >= INFINITE_HOPS
+             and (e.latency_us, e.energy_cost) != (0, 0.0)]
     assert wrong == []
 
 
@@ -51,6 +64,7 @@ def test_bundled_scenario_trace_digest_is_pinned(name):
     # every connect the scenario requests ends once, and nothing else ends
     assert connect_ends(sim.trace)[1:] == (0, [])
     assert_valid_iff_even_seq(sim)
+    assert_invalid_routes_carry_no_cost(sim)
 
 
 def test_summary_mid_run_keeps_later_records_in_the_trace():
@@ -108,6 +122,7 @@ def test_bench_workload_trace_digest_is_pinned(name):
     assert sim.engine.steps == WORKLOAD_STEPS[name]
     assert connect_ends(sim.trace) == WORKLOAD_CONNECT_ENDS[name]
     assert_valid_iff_even_seq(sim)
+    assert_invalid_routes_carry_no_cost(sim)
 
 
 CHILD = pathlib.Path(__file__).resolve().parent.parent / "bench" / "child.py"

@@ -9,11 +9,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wfdsim import routing
 from wfdsim.engine import MS, SECOND, Engine, EventClass
-from wfdsim.routing import (INFINITE_HOPS, AdvertEntry, LinkMetrics,
-                            NoRouteError, Packet, RoutingAgent, RoutingConfig,
-                            RoutingEntry, RoutingTable, TableAdvert,
-                            TrafficClass, _consider, merge_advert,
-                            merge_full_dump, select_route)
+from wfdsim.routing import (INFINITE_HOPS, LinkMetrics, NoRouteError,
+                            Packet, RoutingAgent, RoutingConfig, RoutingEntry,
+                            RoutingTable, TableAdvert, TrafficClass,
+                            merge_advert, merge_full_dump, select_route)
 
 from conftest import make_sim, peers, trace_records
 
@@ -22,8 +21,7 @@ LINK = LinkMetrics(latency_us=2000, energy_cost=1.0)
 
 
 def advert(sender, entries, full=False, cost=1.0):
-    return TableAdvert(sender, cost,
-                       [AdvertEntry(*e) for e in entries], full)
+    return TableAdvert(sender, cost, [tuple(e) for e in entries], full)
 
 
 # ----------------------------------------------------------------------
@@ -149,22 +147,70 @@ def test_merge_invariants_under_random_adverts(entries, sender):
                 assert alt.next_hop != primary.next_hop
 
 
-def reference_merge(table, adv_msg, link, now):
-    """merge_advert without early rejects: every advertised entry becomes a
-    candidate RoutingEntry and goes through _consider."""
-    changed = set()
-    for adv in adv_msg.entries:
-        if adv.dest == table.owner:
-            continue
-        if adv.hop_count >= INFINITE_HOPS:
-            cand = RoutingEntry(adv.dest, adv_msg.sender, INFINITE_HOPS,
-                                adv.seq_no, 0, 0.0, now)
+def _route_fields(entry: RoutingEntry) -> tuple:
+    # the advertised identity of a route; seq-only refreshes are not changes
+    return (entry.next_hop, entry.hop_count, entry.latency_us,
+            entry.energy_cost, entry.valid)
+
+
+def _consider(table: RoutingTable, cand: RoutingEntry) -> bool:
+    dest = cand.destination
+    slots = table.entries.get(dest)
+    if not slots:
+        if not cand.valid:
+            return False  # nothing to invalidate
+        table.put(dest, [cand])
+        return True
+    primary = slots[0]
+    if cand.seq_no > primary.seq_no:
+        table.put(dest, [cand])
+        return _route_fields(cand) != _route_fields(primary)
+    if cand.seq_no < primary.seq_no:
+        return False
+    # equal sequence, so both valid (even) or both invalidated (odd)
+    if not cand.valid:
+        return False
+    if (cand.hop_count, cand.latency_us) < (primary.hop_count, primary.latency_us):
+        if (primary.next_hop != cand.next_hop
+                and primary.hop_count == cand.hop_count):
+            table.put(dest, [cand, primary])
         else:
-            cand = RoutingEntry(adv.dest, adv_msg.sender, adv.hop_count + 1,
-                                adv.seq_no, adv.latency_us + link.latency_us,
-                                adv.energy_cost + link.energy_cost, now)
+            table.put(dest, [cand])
+        return _route_fields(cand) != _route_fields(primary)
+    if cand.next_hop == primary.next_hop:
+        table.put(dest, [cand, *slots[1:]])
+        return _route_fields(cand) != _route_fields(primary)
+    # alternate candidacy: equal seq, equal hops, different neighbor; the
+    # one alternate slot takes it when empty, held via the same neighbor,
+    # or worse by (latency, next hop)
+    if cand.hop_count != primary.hop_count:
+        return False
+    if len(slots) == 1 or slots[1].next_hop == cand.next_hop or \
+            (cand.latency_us, cand.next_hop) < (slots[1].latency_us,
+                                               slots[1].next_hop):
+        table.put(dest, [primary, cand])
+    return False
+
+
+def reference_merge(table, adv_msg, link, now):
+    """The oracle for merge_advert's one decision per entry: every
+    advertised entry becomes a candidate RoutingEntry and goes through
+    _consider, the merge rules as they stood before that decision was one
+    pass.  A candidate at or past the hop limit is invalid and carries no
+    cost."""
+    changed = set()
+    for dest, seq, hops, latency, energy in adv_msg.entries:
+        if dest == table.owner:
+            continue
+        if hops + 1 >= INFINITE_HOPS:
+            cand = RoutingEntry(dest, adv_msg.sender, INFINITE_HOPS, seq, 0,
+                                0.0, now)
+        else:
+            cand = RoutingEntry(dest, adv_msg.sender, hops + 1, seq,
+                                latency + link.latency_us,
+                                energy + link.energy_cost, now)
         if _consider(table, cand):
-            changed.add(adv.dest)
+            changed.add(dest)
     table.dirty |= changed
     return changed
 
@@ -245,11 +291,11 @@ def dsdv_rounds(graph: nx.Graph, rounds: int):
         dumps = {}
         for n in sorted(graph.nodes):
             tables[n].self_seq += 2
-            entries = [AdvertEntry(n, tables[n].self_seq, 0, 0, 0.0)]
+            entries = [(n, tables[n].self_seq, 0, 0, 0.0)]
             for dst in tables[n].destinations():
                 e = tables[n].entries[dst][0]
-                entries.append(AdvertEntry(dst, e.seq_no, e.hop_count,
-                                           e.latency_us, e.energy_cost))
+                entries.append((dst, e.seq_no, e.hop_count, e.latency_us,
+                                e.energy_cost))
             dumps[n] = TableAdvert(n, 1.0, entries, True)
         for n in sorted(graph.nodes):
             for m in sorted(graph[n]):
@@ -518,7 +564,7 @@ def tick(agent):
 
 def advertised(msg, wire, dest):
     """dest's advert tuple and wire text in one advert."""
-    [entry] = [e for e in msg.entries if e.dest == dest]
+    [entry] = [e for e in msg.entries if e[0] == dest]
     [text] = [w for w in wire.split(",") if w.split(":")[0] == dest]
     return tuple(entry), text
 
@@ -545,6 +591,27 @@ def test_full_dump_after_alternate_promotion_carries_the_new_route():
     assert msg.changed == {"b"}  # nothing new since the last dump
 
 
+# a route through c to d, invalidated by losing c, by c's infinite advert,
+# or by c's advert one hop short of the limit
+@pytest.mark.parametrize("hops", [None, INFINITE_HOPS, INFINITE_HOPS - 1])
+def test_an_invalidated_route_is_advertised_without_cost(hops):
+    b = advertiser("b")
+    merge_advert(b.table, advert("c", [("d", 4, 1, 2000, 1.0)]), LINK, 0)
+    if hops is None:
+        assert b.invalidate_neighbor("c") == {"d"}
+    else:
+        assert merge_advert(b.table, advert("c", [("d", 5, hops, 3000, 1.5)]),
+                            LINK, 1) == {"d"}
+    held = b.table.primary("d")
+    assert (held.hop_count, held.latency_us, held.energy_cost) == \
+        (INFINITE_HOPS, 0, 0.0)
+    msg, wire = tick(b)
+    [entry] = [e for e in msg.entries if e[0] == "d"]
+    assert type(entry) is tuple
+    assert advertised(msg, wire, "d") == (("d", 5, INFINITE_HOPS, 0, 0.0),
+                                          "d:5:65536:0:0")
+
+
 def test_seq_only_refresh_changes_the_wire_text():
     b = advertiser("b")
     merge_advert(b.table, advert("c", [("d", 6, 1, 2000, 1.0)]), LINK, 0)
@@ -565,7 +632,7 @@ def test_full_dump_folds_only_destinations_that_changed(monkeypatch):
     real_merge = routing.merge_advert
 
     def recording_merge(table, adv, link, now):
-        folded.append(sorted(e.dest for e in adv.entries))
+        folded.append(sorted(e[0] for e in adv.entries))
         return real_merge(table, adv, link, now)
 
     monkeypatch.setattr(routing, "merge_advert", recording_merge)

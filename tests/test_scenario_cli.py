@@ -287,6 +287,12 @@ def test_a_misshapen_document_or_section_is_named(tmp_path, doc, message):
     (b"? [a, b]\n: 1\n", "line 1, column 3: found unhashable key"),
     (b"nodes: \xff\n", "'utf-8' codec can't decode byte 0xff in position 7: "
                         "invalid start byte"),
+    # the parser recurses once per level, past the interpreter's limit
+    pytest.param(b"a: " + b"[" * 5000 + b"]" * 5000 + b"\n",
+                 "nested too deeply", id="5000-deep-flow-list"),
+    pytest.param(yaml.safe_dump({"sim": BASE["sim"], "nodes": BASE["nodes"]})
+                 .encode() + b"script: " + b"[" * 3000 + b"]" * 3000 + b"\n",
+                 "nested too deeply", id="3000-deep-script"),
 ])
 def test_cli_validate_rejects_a_malformed_file_with_one_error_line(
         tmp_path, text, problem):

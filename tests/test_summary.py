@@ -10,7 +10,8 @@ reference's `Summary` or its `ValueError`.
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import (HealthCheck, Phase, example, given, settings,
+                        strategies as st)
 
 from wfdsim.simulation import Simulation
 from wfdsim.summary import (AdvertStats, FlowSummary, Summary,
@@ -242,8 +243,11 @@ def trace_text(draw):
     return draw(st.lists(trace_line(rough), min_size=8, max_size=24))
 
 
-# each example draws a few hundred values, which can pass the too_slow limit
-@settings(suppress_health_check=[HealthCheck.too_slow])
+# each example draws a few hundred values, which can pass the too_slow limit;
+# shrinking such a failure takes minutes, so a failing example is reported
+# as it was drawn
+@settings(suppress_health_check=[HealthCheck.too_slow],
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
 @given(trace_text())
 # every field a class reads changes this summary, whatever is drawn: the
 # first DROP's `cls` is the class of the flow it ends, and the bare
