@@ -8,7 +8,7 @@ from .linklayer import (BROADCAST, BridgingPolicy, DeviceState, Frame, Group,
                         NotInGroupError, OutOfRangeError, InvalidStateError,
                         BridgingDisabledError)
 from .routing import (INFINITE_HOPS, NoRouteError, Packet, RoutingAgent,
-                      RoutingConfig, RoutingEntry, RoutingTable, TableAdvert,
+                      RoutingConfig, RoutingTable, TableAdvert,
                       TrafficClass, merge_advert, select_route)
 from .scenario import (Scenario, ScenarioError, SimSettings, load_scenario)
 from .simulation import Simulation

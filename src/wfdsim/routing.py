@@ -17,28 +17,35 @@ tables have converged.
 
 Merging decides each advertised candidate once, against its destination's
 slots: an older sequence number is dropped (freshness first); a newer one
-replaces the slots; at an equal sequence an invalid candidate is dropped,
-a better one (fewer hops, then lower latency) becomes primary, one via the
-primary's own next hop replaces the primary unless it is identical, and an
+replaces the slots, unless it is an invalidation (infinite hops) of a valid
+route, which only that route's next hop can send: from the alternate's next
+hop it drops the alternate, and from any other neighbor it is ignored.  At
+an equal sequence an invalid candidate is dropped, a better one (fewer
+hops, then lower latency) becomes primary, one via the primary's own next
+hop replaces the primary unless it is identical (or, when it has more hops
+and an alternate exists, leaves the alternate alone as primary), and an
 equal-hop one via another neighbor may take the alternate slot.  An
-identical refresh is the DSDV update that carries no new information, so
-`RoutingEntry.last_updated` is the time a route was adopted or changed, not
-when it was last heard.  The decision is a pure function of the slots and
-the candidate.  Applied to its own output it changes no route: at most it
-puts an identical alternate again, with a `last_updated` nothing reads.
+identical refresh is the DSDV update that carries no new information.  The
+decision is a pure function of the slots and the candidate.  Applied to its
+own output it changes no route: at most it puts the same alternate again.
 
-Full dumps repeat mostly what every neighbor already heard, so both ends
-do work only for what changed.  A table never edits an entry: each write
-puts new entries into the slots through `RoutingTable.put`, which also
-stamps the destination with the table's version.  So an entry builds its
-advert tuple and wire text once, the first time an advert carries it, and
-keeps them; a full dump joins kept strings.  It names in `changed` the
-destinations its table wrote since its previous dump.  A receiver that
-folded the sender's previous dump over the same link folds from the next
-one only the destinations in `changed` or written in its own table since
-(`merge_full_dump`); the rest would be decided again against the slots
-they already shaped, which changes no route.  The trace is the same as
-with a whole fold.
+A route is one exact tuple `(dest, seq, hops, latency_us, energy, next_hop,
+wire)`, never changed after it is built, and a destination's slots are a
+tuple of one or two of them.  `wire` is the route's advert text, formatted
+once when the route is written.  So a table's primary routes are its advert
+entries as they are: an advert builds no tuple, and its trace line joins
+kept strings.  Tuples of strings and numbers are untracked by the cyclic
+garbage collector, so the tables cost it nothing to scan.
+
+Full dumps repeat mostly what every neighbor already heard, so the receiver
+does work only for what changed.  A dump names in `changed` the
+destinations its table wrote since its previous dump (every write goes
+through `RoutingTable.put`, which stamps the destination with the table's
+version).  A receiver that folded the sender's previous dump over the same
+link folds from the next one only the destinations in `changed` or written
+in its own table since (`merge_full_dump`); the rest would be decided again
+against the slots they already shaped, which changes no route.  The trace is
+the same as with a whole fold.
 """
 
 from __future__ import annotations
@@ -99,52 +106,31 @@ class Packet:
         self.path: list[NodeId] = []  # nodes that forwarded it
 
 
-class RoutingEntry:
-    """One candidate route.  `last_updated` is the virtual time the route
-    was adopted or changed; a refresh identical to it is not merged, so it
-    is not the time the route was last heard.  Nothing reads it.
-
-    An entry is never changed after it is built: a table write puts new
-    entries into the slots (`RoutingTable.put`).  Adverts rely on this: the
-    first advert that carries an entry keeps its advert tuple and wire text
-    on it (`advert`, `wire`), and every later advert reuses them."""
-
-    __slots__ = ("destination", "next_hop", "hop_count", "seq_no",
-                 "latency_us", "energy_cost", "last_updated", "advert", "wire")
-
-    def __init__(self, destination: NodeId, next_hop: NodeId, hop_count: int,
-                 seq_no: int, latency_us: int, energy_cost: float,
-                 last_updated: int):
-        self.destination = destination
-        self.next_hop = next_hop
-        self.hop_count = hop_count
-        self.seq_no = seq_no
-        self.latency_us = latency_us
-        self.energy_cost = energy_cost
-        self.last_updated = last_updated
-        self.advert: tuple[NodeId, int, int, int, float] | None = None
-        self.wire: str | None = None
-
-    @property
-    def valid(self) -> bool:
-        return self.hop_count < INFINITE_HOPS
+# A route is one exact tuple, (dest, seq, hops, latency_us, energy,
+# next_hop, wire), never changed once built.  These name its positions.
+DEST, SEQ, HOPS, LATENCY, ENERGY, NEXT_HOP, WIRE = range(7)
+Route = tuple[NodeId, int, int, int, float, NodeId, str]
 
 
-def _wire(entry: tuple[NodeId, int, int, int, float]) -> str:
-    """An advert entry as the trace writes it: dest:seq:hops:lat_us:energy."""
-    return "%s:%s:%s:%s:%g" % entry
+def _route(dest: NodeId, seq: int, hops: int, latency_us: int,
+           energy: float, next_hop: NodeId) -> Route:
+    """A route with its wire text, as adverts and the trace carry it:
+    dest:seq:hops:lat_us:energy."""
+    return (dest, seq, hops, latency_us, energy, next_hop,
+            "%s:%s:%s:%s:%g" % (dest, seq, hops, latency_us, energy))
 
 
 class TableAdvert(NamedTuple):
-    """A table advert.  Each entry is a plain tuple `(dest, seq_no,
-    hop_count, latency_us, energy_cost)`.  A full dump also carries its
-    number among the sender's full dumps and, in `changed`, the destinations
-    the sender's table wrote since its previous full dump (`None` when there
-    was none): every other entry repeats what that dump carried."""
+    """A table advert.  Each entry is a route of the sender, the tuple its
+    table holds; a receiver reads the first five fields.  A full dump also
+    carries its number among the sender's full dumps and, in `changed`, the
+    destinations the sender's table wrote since its previous full dump
+    (`None` when there was none): every other entry repeats what that dump
+    carried."""
 
     sender: NodeId
     sender_cost: float
-    entries: list[tuple[NodeId, int, int, int, float]]
+    entries: list[Route]
     full_dump: bool
     dump_no: int = 0
     changed: set[NodeId] | None = None
@@ -169,8 +155,8 @@ class LinkMetrics(NamedTuple):
 
 
 class RoutingTable:
-    """Per-node table: destination -> up to two candidate entries, primary
-    first.  Never holds an entry for its owner.  The dirty set tracks
+    """Per-node table: destination -> a tuple of one or two routes, primary
+    first.  Never holds a route to its owner.  The dirty set tracks
     destinations whose advertised route changed since the last advert.
 
     Every write goes through `put`, which also stamps the destination with
@@ -181,7 +167,7 @@ class RoutingTable:
 
     def __init__(self, owner: NodeId):
         self.owner = owner
-        self.entries: dict[NodeId, list[RoutingEntry]] = {}
+        self.entries: dict[NodeId, tuple[Route, ...]] = {}
         self.self_seq = 0
         self.dirty: set[NodeId] = set()
         self.version = 0
@@ -189,46 +175,41 @@ class RoutingTable:
         # sender -> (dump_no, version after folding it, link latency, energy)
         self.heard: dict[NodeId, tuple[int, int, int, float]] = {}
 
-    def put(self, dst: NodeId, slots: list[RoutingEntry]) -> None:
+    def put(self, dst: NodeId, slots: tuple[Route, ...]) -> None:
         self.entries[dst] = slots
         self.version += 1
         self.changed_at[dst] = self.version
-
-    def primary(self, dst: NodeId) -> RoutingEntry | None:
-        slots = self.entries.get(dst)
-        return slots[0] if slots else None
-
-    def candidates(self, dst: NodeId) -> list[RoutingEntry]:
-        return list(self.entries.get(dst, ()))
 
     def destinations(self) -> list[NodeId]:
         return sorted(self.entries)
 
     def snapshot(self) -> dict[NodeId, tuple[NodeId, int, int]]:
         """dest -> (next_hop, hop_count, seq_no) of the primary, valid only."""
-        return {d: (s[0].next_hop, s[0].hop_count, s[0].seq_no)
-                for d, s in self.entries.items() if s[0].valid}
+        return {d: (s[0][NEXT_HOP], s[0][HOPS], s[0][SEQ])
+                for d, s in self.entries.items() if s[0][HOPS] < INFINITE_HOPS}
 
 
 def merge_advert(table: RoutingTable, advert: TableAdvert, link: LinkMetrics,
                  now: int) -> set[NodeId]:
-    """Fold a neighbor's advert into the table.
+    """Fold a neighbor's advert into the table.  `now` is not read.
 
     For each advertised destination the candidate route goes via the sender
     with one extra hop and the link's latency/energy added.  Adoption is
-    freshness-first: strictly newer sequence wins outright; an equal sequence
-    wins only by fewer hops, then lower latency.  Equal-sequence equal-hop
-    candidates via a different neighbor are kept as alternates.  Returns the
-    set of destinations whose advertised route (next hop, hops, latency,
-    energy) changed; these also enter the dirty set.  A seq-only refresh is
-    written but is not a change.
+    freshness-first: strictly newer sequence wins outright, except that a
+    newer invalidation counts only from the next hop of a route it would
+    end; an equal sequence wins only by fewer hops, then lower latency.
+    Equal-sequence equal-hop candidates via a different neighbor are kept as
+    alternates.  Returns the set of destinations whose advertised route
+    (next hop, hops, latency, energy) changed; these also enter the dirty
+    set.  A seq-only refresh is written but is not a change.
     """
     changed: set[NodeId] = set()
     entries = table.entries
+    put = table.put
     owner = table.owner
     sender = advert.sender
     link_latency, link_energy = link.latency_us, link.energy_cost
-    for dest, seq, hops, latency, energy in advert.entries:
+    for dest, seq, hops, latency, energy, _, _ in advert.entries:
         if dest == owner:
             continue
         hops += 1
@@ -240,51 +221,52 @@ def merge_advert(table: RoutingTable, advert: TableAdvert, link: LinkMetrics,
         slots = entries.get(dest)
         if not slots:
             if hops < INFINITE_HOPS:  # else nothing to invalidate
-                table.put(dest, [RoutingEntry(dest, sender, hops, seq,
-                                              latency, energy, now)])
+                put(dest, (_route(dest, seq, hops, latency, energy, sender),))
                 changed.add(dest)
             continue
         primary = slots[0]
-        held_seq = primary.seq_no
+        _, held_seq, held_hops, held_latency, held_energy, via, _ = primary
         if seq < held_seq:
             continue
-        held_hops = primary.hop_count
         if seq > held_seq:
-            table.put(dest, [RoutingEntry(dest, sender, hops, seq, latency,
-                                          energy, now)])
-            if (sender != primary.next_hop or hops != held_hops
-                    or latency != primary.latency_us
-                    or energy != primary.energy_cost):
-                changed.add(dest)
+            if hops < INFINITE_HOPS or sender == via \
+                    or held_hops >= INFINITE_HOPS:
+                put(dest, (_route(dest, seq, hops, latency, energy, sender),))
+                if (sender != via or hops != held_hops
+                        or latency != held_latency or energy != held_energy):
+                    changed.add(dest)
+            elif len(slots) > 1 and slots[1][NEXT_HOP] == sender:
+                put(dest, (primary,))  # it ends only the alternate
             continue
         # equal sequence, so both valid (even) or both invalidated (odd)
         if hops >= INFINITE_HOPS:
             continue
-        if hops < held_hops or (hops == held_hops
-                                and latency < primary.latency_us):
+        if hops < held_hops or (hops == held_hops and latency < held_latency):
             # better, so it differs in hops or latency: a change
-            cand = RoutingEntry(dest, sender, hops, seq, latency, energy, now)
-            if sender != primary.next_hop and hops == held_hops:
-                table.put(dest, [cand, primary])
+            cand = _route(dest, seq, hops, latency, energy, sender)
+            if sender != via and hops == held_hops:
+                put(dest, (cand, primary))
             else:
-                table.put(dest, [cand])
+                put(dest, (cand,))
             changed.add(dest)
-        elif sender == primary.next_hop:
-            if (hops != held_hops or latency != primary.latency_us
-                    or energy != primary.energy_cost):
-                table.put(dest, [RoutingEntry(dest, sender, hops, seq,
-                                              latency, energy, now),
-                                 *slots[1:]])
+        elif sender == via:
+            if (hops != held_hops or latency != held_latency
+                    or energy != held_energy):
+                if hops > held_hops and len(slots) > 1:
+                    put(dest, slots[1:])  # the alternate keeps its hops
+                else:
+                    put(dest, (_route(dest, seq, hops, latency, energy,
+                                      sender), *slots[1:]))
                 changed.add(dest)
         elif hops == held_hops:
             # alternate candidacy: equal seq, equal hops, different
             # neighbor; the one alternate slot takes it when empty, held via
             # the same neighbor, or worse by (latency, next hop)
-            if (len(slots) == 1 or slots[1].next_hop == sender
-                    or (latency, sender) < (slots[1].latency_us,
-                                            slots[1].next_hop)):
-                table.put(dest, [primary, RoutingEntry(
-                    dest, sender, hops, seq, latency, energy, now)])
+            if (len(slots) == 1 or slots[1][NEXT_HOP] == sender
+                    or (latency, sender) < (slots[1][LATENCY],
+                                            slots[1][NEXT_HOP])):
+                put(dest, (primary, _route(dest, seq, hops, latency, energy,
+                                           sender)))
     table.dirty |= changed
     return changed
 
@@ -301,9 +283,9 @@ def merge_full_dump(table: RoutingTable, advert: TableAdvert,
     that fold yields the same candidate that fold decided, against the same
     slots.  `merge_advert` decides each candidate once, as a pure function
     of the slots and the candidate, and deciding it again on its own output
-    changes no route: at most it puts an identical alternate again, with a
-    `last_updated` nothing reads.  So such entries are dropped before
-    `merge_advert`; any other dump is folded whole."""
+    changes no route: at most it puts the same alternate again.  So such
+    entries are dropped before `merge_advert`; any other dump is folded
+    whole."""
     heard = table.heard.get(advert.sender)
     if (heard is not None and advert.changed is not None
             and heard[0] == advert.dump_no - 1
@@ -314,7 +296,7 @@ def merge_full_dump(table: RoutingTable, advert: TableAdvert,
         advert = TableAdvert(
             advert.sender, advert.sender_cost,
             [e for e in advert.entries
-             if e[0] in changed or changed_at(e[0], 0) > since],
+             if e[DEST] in changed or changed_at(e[DEST], 0) > since],
             True, advert.dump_no, changed)
     folded = merge_advert(table, advert, link, now)
     table.heard[advert.sender] = (advert.dump_no, table.version,
@@ -327,22 +309,17 @@ def select_route(table: RoutingTable, dst: NodeId,
     """Pick the next hop for dst per class policy: REAL_TIME minimizes
     latency, BULK minimizes energy; ties break by hop count then lowest
     next-hop id.  Raises NoRouteError when no valid candidate exists."""
+    cost = ENERGY if traffic_class is TrafficClass.BULK else LATENCY
     best = None
-    for entry in table.entries.get(dst, ()):
-        if entry.hop_count >= INFINITE_HOPS:
-            continue
-        if best is None or _class_key(entry, traffic_class) < \
-                _class_key(best, traffic_class):
-            best = entry
+    for route in table.entries.get(dst, ()):
+        if route[HOPS] < INFINITE_HOPS and (
+                best is None
+                or (route[cost], route[HOPS], route[NEXT_HOP])
+                < (best[cost], best[HOPS], best[NEXT_HOP])):
+            best = route
     if best is None:
         raise NoRouteError(f"{table.owner}: no route to {dst}")
-    return best.next_hop
-
-
-def _class_key(entry: RoutingEntry, traffic_class: TrafficClass) -> tuple:
-    if traffic_class is TrafficClass.BULK:
-        return (entry.energy_cost, entry.hop_count, entry.next_hop)
-    return (entry.latency_us, entry.hop_count, entry.next_hop)
+    return best[NEXT_HOP]
 
 
 class RoutingConfig(Record):
@@ -416,8 +393,8 @@ class RoutingAgent:
             latency = now - sent_at
         link = LinkMetrics(latency, resp.energy_cost)
         self.link_metrics[resp.sender] = link
-        advert = TableAdvert(resp.sender, resp.energy_cost,
-                             [(resp.sender, resp.seq_no, 0, 0, 0.0)], False)
+        own = _route(resp.sender, resp.seq_no, 0, 0, 0.0, resp.sender)
+        advert = TableAdvert(resp.sender, resp.energy_cost, [own], False)
         changed = merge_advert(self.table, advert, link, now)
         self.engine.log(_RESP, self.node, resp.sender, resp.seq_no,
                         link.latency_us, resp.energy_cost,
@@ -431,54 +408,38 @@ class RoutingAgent:
         table = self.table
         if self.tick_count % self.config.full_dump_every == 0:
             table.self_seq += 2
-            advert, wires = self._full_dump(
+            advert = self._full_dump(
                 self.tick_count // self.config.full_dump_every)
         elif table.dirty:
-            entries, wires = self._advert_entries(
-                d for d in sorted(table.dirty) if d in table.entries)
-            advert = TableAdvert(self.node, self.energy_cost, entries, False)
+            slots_of = table.entries
+            advert = TableAdvert(self.node, self.energy_cost,
+                                 [slots_of[d][0] for d in sorted(table.dirty)
+                                  if d in slots_of], False)
         else:
             return
         recipients = self.transfer.broadcast_control(self.node, advert)
         if not recipients:
             return  # nobody heard it; keep the dirty set for the next tick
-        self.table.dirty.clear()
+        table.dirty.clear()
         self.engine.log(_TX, self.node, advert.full_dump, len(advert.entries),
-                        self.energy_cost, ",".join(wires) or "-")
+                        self.energy_cost,
+                        ",".join([e[WIRE] for e in advert.entries]) or "-")
 
-    def _advert_entries(self, dests) -> tuple[list[tuple], list[str]]:
-        """The advertised primary route to each destination, and its wire
-        text, both built once per entry and kept on it.  An invalid route
-        is always built with infinite hops and zero latency and energy, so
-        it goes out as it is held."""
-        slots_of = self.table.entries
-        entries, wires = [], []
-        for dst in dests:
-            e = slots_of[dst][0]
-            if e.wire is None:
-                e.advert = (dst, e.seq_no, e.hop_count, e.latency_us,
-                            e.energy_cost)
-                e.wire = _wire(e.advert)
-            entries.append(e.advert)
-            wires.append(e.wire)
-        return entries, wires
-
-    def _full_dump(self, dump_no: int) -> tuple[TableAdvert, list[str]]:
-        """Full dump number `dump_no`: this node's own entry, then every
-        destination's advertised route.  `changed` names this node and the
+    def _full_dump(self, dump_no: int) -> TableAdvert:
+        """Full dump number `dump_no`: this node's own route, then every
+        destination's primary route.  `changed` names this node and the
         destinations written since the previous dump."""
         table = self.table
-        own = (self.node, table.self_seq, 0, 0, 0.0)
-        entries, wires = self._advert_entries(table.destinations())
-        entries.insert(0, own)
-        wires.insert(0, _wire(own))
+        slots_of = table.entries
+        entries = [_route(self.node, table.self_seq, 0, 0, 0.0, self.node)]
+        entries += [slots_of[d][0] for d in sorted(slots_of)]
         since, self.dump_version = self.dump_version, table.version
         changed = None
         if since is not None:
             changed = {d for d, v in table.changed_at.items() if v > since}
             changed.add(self.node)
         return TableAdvert(self.node, self.energy_cost, entries, True,
-                           dump_no, changed), wires
+                           dump_no, changed)
 
     def _on_advert(self, advert: TableAdvert, sent_at: int) -> None:
         now = self.engine.now()
@@ -503,25 +464,22 @@ class RoutingAgent:
         invalidated; destinations with no survivor get an odd sequence and
         infinite hops, which adverts then propagate."""
         self.link_metrics.pop(lost_peer, None)
-        now = self.engine.now()
         changed: set[NodeId] = set()
         table = self.table
         for dst in table.destinations():
             slots = table.entries[dst]
             primary = slots[0]
-            survivors = [e for e in slots if e.next_hop != lost_peer]
-            if primary.next_hop != lost_peer:
-                if len(survivors) != len(slots):
-                    table.put(dst, survivors)  # dropped an alternate
+            if primary[NEXT_HOP] != lost_peer:
+                if len(slots) > 1 and slots[1][NEXT_HOP] == lost_peer:
+                    table.put(dst, slots[:1])  # dropped an alternate
                 continue
-            if not primary.valid:
+            if primary[HOPS] >= INFINITE_HOPS:
                 continue
-            if survivors:
-                table.put(dst, survivors)
+            if len(slots) > 1:
+                table.put(dst, slots[1:])  # the alternate is promoted
             else:
-                table.put(dst, [RoutingEntry(
-                    dst, lost_peer, INFINITE_HOPS, primary.seq_no + 1,
-                    0, 0.0, now)])
+                table.put(dst, (_route(dst, primary[SEQ] + 1, INFINITE_HOPS,
+                                       0, 0.0, lost_peer),))
             changed.add(dst)
         table.dirty |= changed
         return changed

@@ -7,11 +7,13 @@ import pathlib
 import types
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import pytest
 
 from wfdsim.engine import Engine, EventClass, SECOND
 from wfdsim.linklayer import LinkLayer, LinkConfig
+from wfdsim.routing import INFINITE_HOPS
 from wfdsim.scenario import (NodeSpec, Scenario, ScriptDirective, SimSettings,
                              TrafficSpec)
 from wfdsim.simulation import Simulation
@@ -88,6 +90,39 @@ def connect_ends(trace):
             else:
                 unmatched += 1
     return dict(ends), unmatched, sorted(open_pairs)
+
+
+class RouteView(NamedTuple):
+    """A test-side view of one route tuple of a routing table."""
+    destination: str
+    seq_no: int
+    hop_count: int
+    latency_us: int
+    energy_cost: float
+    next_hop: str
+    wire: str
+
+    @property
+    def valid(self) -> bool:
+        return self.hop_count < INFINITE_HOPS
+
+
+def route(dest, seq, hops, latency_us, energy, next_hop):
+    """The exact tuple a routing table holds for this route, wire text
+    included."""
+    return (dest, seq, hops, latency_us, energy, next_hop,
+            f"{dest}:{seq}:{hops}:{latency_us}:{energy:g}")
+
+
+def primary(table, dst):
+    """The view of the table's primary route to dst, or None."""
+    slots = table.entries.get(dst)
+    return RouteView(*slots[0]) if slots else None
+
+
+def candidates(table, dst):
+    """Views of the table's routes to dst, primary first."""
+    return [RouteView(*r) for r in table.entries.get(dst, ())]
 
 
 def peers(linklayer, node):

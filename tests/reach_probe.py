@@ -13,8 +13,11 @@ reach is listed too.
 An executable line is a line of a function body that has bytecode; a
 `def` line is not one.  Lines are recorded with `sys.settrace`, so nothing
 outside the standard library is needed besides pytest for the suite, and
-everything runs several times slower than untraced.  The file is not named
-`test_*.py`, so pytest does not collect it.
+everything runs several times slower than untraced.  A run that removes
+the tracer (CPython does when a `RecursionError` is raised inside it)
+leaves the rest of that run unrecorded; the probe then says its figure is
+short and exits 1.  The file is not named `test_*.py`, so pytest does not
+collect it.
 """
 
 from __future__ import annotations
@@ -83,6 +86,12 @@ class LineRecorder:
         finally:
             sys.settrace(None)
 
+    def still_tracing(self) -> bool:
+        """Whether this recorder is still the trace function.  CPython
+        removes a trace function that raises, as a `RecursionError` deep in
+        a traced call does, and nothing is recorded after that."""
+        return sys.gettrace() == self._global
+
 
 def _workloads() -> types.ModuleType:
     """bench/workloads.py, read and executed in memory."""
@@ -127,8 +136,10 @@ def main() -> int:
     product, tested = LineRecorder(executable), LineRecorder(executable)
     with product.active():
         product_runs()
+        lost = [] if product.still_tracing() else ["the product runs"]
     with tested.active():
         status = suite()
+        lost += [] if tested.still_tracing() else ["the suite"]
     total = reached_product = reached_any = 0
     per_module = []
     for name, lines in executable.items():
@@ -148,6 +159,10 @@ def main() -> int:
           f"{reached_product}, with the suite {reached_any}")
     if status != 0:
         print(f"the suite exited {status}, so its reach may be short")
+    if lost:
+        print(f"{' and '.join(lost)} removed the line tracer, so the reach "
+              f"above is short")
+        return 1
     return 0
 
 

@@ -32,7 +32,8 @@ from wfdsim.simulation import Simulation
 from wfdsim.topology import Position
 from wfdsim.transfer import DeliveryOutcome
 
-from conftest import deliverable_pairs, make_link_world, trace_records
+from conftest import (candidates, deliverable_pairs, make_link_world, primary,
+                      trace_records)
 
 
 def passed(criterion, detail=""):
@@ -65,7 +66,7 @@ def test_criterion_1_chain4_reproduction():
         assert sorted(sim.table(node).snapshot()) == expected, \
             f"{node} table after discovery is not exactly its neighbors"
         for dst in expected:
-            assert sim.table(node).primary(dst).hop_count == 1
+            assert primary(sim.table(node), dst).hop_count == 1
 
     # (b) within diameter x period + 1 = 4 s of the bridge (the last
     # topology change), every node knows every other at chain hop counts
@@ -79,7 +80,7 @@ def test_criterion_1_chain4_reproduction():
     for node, hops in chain_hops.items():
         assert sorted(sim.table(node).snapshot()) == sorted(hops)
         for dst, h in hops.items():
-            assert sim.table(node).primary(dst).hop_count == h, \
+            assert primary(sim.table(node), dst).hop_count == h, \
                 f"{node}->{dst} expected {h} hops"
 
     # (c) the A->D flow is delivered along the chain and A picked B
@@ -300,7 +301,7 @@ def expressible_paths(sim, src, dst):
             return
         if len(acc) > 10:
             return
-        for e in sim.table(u).candidates(dst):
+        for e in candidates(sim.table(u), dst):
             if e.valid and e.next_hop not in acc:
                 acc.append(e.next_hop)
                 walk(e.next_hop, acc)
@@ -332,12 +333,11 @@ def test_criterion_6_oracle_equivalence_and_loop_freedom():
                 if s == d:
                     continue
                 pairs_checked += 1
-                candidates = [e for e in sim.table(s).candidates(d)
-                              if e.valid]
-                assert candidates, f"trial {trial}: no route {s}->{d}"
-                alternates_seen += len(candidates) > 1
+                valid = [e for e in candidates(sim.table(s), d) if e.valid]
+                assert valid, f"trial {trial}: no route {s}->{d}"
+                alternates_seen += len(valid) > 1
                 # REAL_TIME: minimum latency equals the brute-force optimum
-                rt_latency = min(e.latency_us for e in candidates)
+                rt_latency = min(e.latency_us for e in valid)
                 assert rt_latency == 2004 * lengths[s][d], \
                     f"trial {trial}: {s}->{d} REAL_TIME not optimal"
                 # BULK: walking per-hop selections realizes the cheapest
@@ -411,7 +411,7 @@ def test_criterion_8_determinism():
         scenario.sim.seed = seed
         sim = Simulation(scenario)
         summary = sim.run()
-        tables = {n: {d: sim.table(n).primary(d).hop_count
+        tables = {n: {d: primary(sim.table(n), d).hop_count
                       for d in sim.table(n).snapshot()}
                   for n in ("A", "B", "C", "D")}
         legs = trace_records(sim.trace, EventClass.DISCOVERY, "leg")

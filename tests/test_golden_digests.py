@@ -17,7 +17,7 @@ from wfdsim.scenario import load_scenario
 from wfdsim.simulation import Simulation
 from wfdsim.summary import build_summary
 
-from conftest import connect_ends, load_bench_module
+from conftest import RouteView, connect_ends, load_bench_module
 from test_transfer import slow_link_scenario
 
 GOLDEN = {
@@ -32,6 +32,13 @@ GOLDEN = {
 }
 
 
+def routes(sim):
+    """(node, the views of one destination's routes) over every table."""
+    return [(node, [RouteView(*r) for r in slots])
+            for node, agent in sorted(sim.agents.items())
+            for slots in agent.table.entries.values()]
+
+
 def assert_valid_iff_even_seq(sim):
     """A valid route carries an even sequence number (its origin's own, or
     one copied from a valid route), an invalidated one an odd one (a valid
@@ -39,20 +46,31 @@ def assert_valid_iff_even_seq(sim):
     `merge_advert` relies on it when it decides a candidate of the held
     sequence: both are valid or both invalid."""
     wrong = [(node, e.destination, e.seq_no, e.hop_count)
-             for node, agent in sorted(sim.agents.items())
-             for slots in agent.table.entries.values() for e in slots
+             for node, slots in routes(sim) for e in slots
              if e.valid != (e.seq_no % 2 == 0)]
     assert wrong == []
 
 
 def assert_invalid_routes_carry_no_cost(sim):
-    """An invalidated route holds zero latency and energy, so its advert
-    tuple is built from its fields as they are held."""
+    """An invalidated route holds zero latency and energy, so it is
+    advertised as it is held."""
     wrong = [(node, e.destination, e.hop_count, e.latency_us, e.energy_cost)
-             for node, agent in sorted(sim.agents.items())
-             for slots in agent.table.entries.values() for e in slots
+             for node, slots in routes(sim) for e in slots
              if e.hop_count >= INFINITE_HOPS
              and (e.latency_us, e.energy_cost) != (0, 0.0)]
+    assert wrong == []
+
+
+def assert_alternates_have_equal_hops(sim):
+    """An alternate has its primary's sequence and hop count, via another
+    neighbor: every candidate is then as close to the destination, which
+    is what keeps per-hop class selection loop-free."""
+    wrong = [(node, first.destination, [(e.next_hop, e.seq_no, e.hop_count)
+                                        for e in slots])
+             for node, (first, *alternates) in routes(sim)
+             for alt in alternates
+             if (alt.seq_no, alt.hop_count) != (first.seq_no, first.hop_count)
+             or alt.next_hop == first.next_hop]
     assert wrong == []
 
 
@@ -65,6 +83,7 @@ def test_bundled_scenario_trace_digest_is_pinned(name):
     assert connect_ends(sim.trace)[1:] == (0, [])
     assert_valid_iff_even_seq(sim)
     assert_invalid_routes_carry_no_cost(sim)
+    assert_alternates_have_equal_hops(sim)
 
 
 def test_summary_mid_run_keeps_later_records_in_the_trace():
@@ -94,13 +113,13 @@ WORKLOAD_GOLDEN = {
     "flows_many":
         "48e4cbd97b6347d8bac97e6d33b14beed0adbe569e4905f8329d08b4c1cff3e0",
     "churn_grid":
-        "7c8bc150b7c5e32f37dcb72a1dc770851c570d576a28254db57a81dba57d43c9",
+        "4adfa26f9b1ea1f0d09b9032fb6a4378175ab8e3b80efbc687671c6090424484",
 }
 
 # seed-1 events each workload runs: the count `events_per_s` divides by,
 # and a refactor that keeps the trace must keep it too
 WORKLOAD_STEPS = {"chain_long": 32_685, "flows_many": 7_880,
-                  "churn_grid": 19_528}
+                  "churn_grid": 18_322}
 
 # seed-1 ends of each workload's connects: every `request` is ended by
 # exactly one `up` or `failed` of its pair, and no end is without one
@@ -123,6 +142,7 @@ def test_bench_workload_trace_digest_is_pinned(name):
     assert connect_ends(sim.trace) == WORKLOAD_CONNECT_ENDS[name]
     assert_valid_iff_even_seq(sim)
     assert_invalid_routes_carry_no_cost(sim)
+    assert_alternates_have_equal_hops(sim)
 
 
 CHILD = pathlib.Path(__file__).resolve().parent.parent / "bench" / "child.py"
@@ -153,7 +173,7 @@ print(json.dumps(out))
 BENCH_CHECKS = {"slow_link_in_flight": [[], 1, 1],
                 "chain_long": [[], 0, 24],
                 "flows_many": [[], 0, 1000],
-                "churn_grid": [[], 5, 150]}
+                "churn_grid": [[], 0, 150]}
 
 
 def test_bench_output_check_is_pinned():
@@ -182,7 +202,7 @@ SUMMARY_GOLDEN = {
     "flows_many":
         "b59a8fccf04fe8461f9a2de518eef2cb6eeb60ff4d8039fc4dfea490b54a3421",
     "churn_grid":
-        "0946c45256c537b4d350e5fcefef600db01e4685a68fc34c12f07a3f6787988f",
+        "50ea6576b5b05fdbd4d97d5ad8cfa1dc900c7a3a497754537e041645e23b35bb",
 }
 
 

@@ -71,6 +71,21 @@ def test_equal_summaries_compare_equal():
     assert Summary() == Summary()
 
 
+def test_summary_text_has_a_line_per_flow_advert_node_and_drop_reason():
+    # no pinned summary has a drop line since churn_grid fails no send
+    assert make_summary().to_text().splitlines() == [
+        "flows=2",
+        "flow app_seq=0 src=a dst=c class=REAL_TIME outcome=DELIVERED "
+        "latency_us=4000 path=a,b,c",
+        "flow app_seq=1 src=c dst=a class=BULK outcome=IN_FLIGHT "
+        "latency_us=- path=-",
+        "adverts node=a tx=3 entries=7 full_dumps=1",
+        "adverts node=b tx=2 entries=5 full_dumps=0",
+        "convergence_us=1500",
+        "drop reason=no_route count=2",
+        "drop reason=ttl_expired count=1"]
+
+
 @pytest.mark.parametrize("edit", SUMMARY_EDITS)
 def test_a_summary_that_differs_in_one_field_is_unequal(edit):
     changed = make_summary()

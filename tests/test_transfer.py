@@ -12,7 +12,7 @@ from wfdsim.simulation import Simulation
 from wfdsim.topology import Position
 
 from conftest import (CHAIN4_NODES, CHAIN4_SCRIPT, connect_ends,
-                      deliverable_pairs, make_sim, trace_records)
+                      deliverable_pairs, make_sim, primary, trace_records)
 
 
 def deliveries(sim, node):
@@ -363,7 +363,7 @@ def test_zero_payload_still_pays_mac_latency():
 def test_send_to_peer_that_moved_away_reports_lost_and_invalidates():
     sim = pair_sim(duration_s=20)
     sim.run_until(3 * SECOND)
-    assert sim.table("a").primary("b").valid
+    assert primary(sim.table("a"), "b").valid
     # queue the frame, then yank the receiver out of range mid-flight
     seq = sim.transfer.app_send("a", "b", 8_000_000, TrafficClass.BULK)
     sim.run_until(3 * SECOND + 10 * MS)
@@ -371,7 +371,7 @@ def test_send_to_peer_that_moved_away_reports_lost_and_invalidates():
     sim.run_until(5 * SECOND)
     report = sim.transfer.reports[seq]
     assert report.outcome is DeliveryOutcome.LOST
-    assert not sim.table("a").primary("b").valid
+    assert not primary(sim.table("a"), "b").valid
     assert sim.summary().flows[0].outcome == "LOST"
 
 
@@ -380,7 +380,7 @@ def test_send_to_a_hop_that_shares_no_group_reports_lost_and_invalidates():
     # agent still routes through b when a sends
     sim = pair_sim(duration_s=20)
     sim.run_until(3 * SECOND)
-    assert sim.table("a").primary("b").valid
+    assert primary(sim.table("a"), "b").valid
     sim.linklayer.upper = LinkEvents()
     sim.linklayer.leave_group("b")
     sim.linklayer.upper = sim.transfer
@@ -388,7 +388,7 @@ def test_send_to_a_hop_that_shares_no_group_reports_lost_and_invalidates():
     seq = sim.transfer.app_send("a", "b", 100, TrafficClass.REAL_TIME)
     sim.run_until(3 * SECOND + 1 * MS)
     assert sim.transfer.reports[seq].outcome is DeliveryOutcome.LOST
-    assert not sim.table("a").primary("b").valid
+    assert not primary(sim.table("a"), "b").valid
     drops = trace_records(sim.trace, EventClass.DROP)
     assert [(p.node, p.details) for p in drops] == \
         [("a", {"reason": "lost", "dst": "b", "detail": "no_link",
